@@ -174,6 +174,9 @@ main(int argc, char **argv)
     if (!args.out.empty()) {
         auto os = bench::openJsonOut(args.out);
         bench::JsonWriter json(os);
+        // Shortest round-trip doubles: tests/data pins these energies
+        // to 1e-12.
+        json.roundTripDoubles(true);
         json.beginObject();
         json.field("bench", "fig13_density_matrix_gamma");
         json.field("mode", args.modeName());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "qec/magic/injection.hpp"
@@ -88,14 +89,125 @@ pqecDmSpec(const PqecParams &params)
 
 namespace {
 
+/** A superoperator, or nullopt for the identity (nothing to apply). */
+using MaybeSuper = std::optional<Mat4>;
+
+/** @p acc, then @p next. */
 void
-applyPauliChannelIfAny(DensityMatrix &rho, const PauliChannel &ch, size_t q)
+absorb(MaybeSuper &acc, const MaybeSuper &next)
+{
+    if (next)
+        acc = acc ? superop::then(*acc, *next) : *next;
+}
+
+MaybeSuper
+pauliIfAny(const PauliChannel &ch)
 {
     if (ch.px + ch.py + ch.pz > 0.0)
-        rho.applyPauliChannel1q(ch, q);
+        return superop::pauli(ch);
+    return std::nullopt;
+}
+
+MaybeSuper
+chain(MaybeSuper first, const MaybeSuper &second)
+{
+    absorb(first, second);
+    return first;
 }
 
 } // namespace
+
+std::vector<DmOp>
+compileNoisyStream(const Circuit &circuit, const DmNoiseSpec &spec)
+{
+    // The channels that trail each gate class, and one idle slot (an
+    // ASAP layer in which the qubit has no gate).
+    const auto relax = [&](double t) -> MaybeSuper {
+        if (!spec.use_relaxation)
+            return std::nullopt;
+        return superop::thermalRelaxation(spec.t1_ns, spec.t2_ns, t);
+    };
+    const MaybeSuper after_rotation =
+        chain(pauliIfAny(spec.rotation), relax(spec.time_1q_ns));
+    const MaybeSuper after_1q = chain(
+        pauliIfAny(depolarizingPauliChannel(spec.one_qubit_depol)),
+        relax(spec.time_1q_ns));
+    const MaybeSuper after_2q = relax(spec.time_2q_ns);
+    const MaybeSuper idle_slot =
+        chain(relax(spec.time_2q_ns),
+              pauliIfAny(depolarizingPauliChannel(spec.idle_depol)));
+
+    // Each qubit's superoperator since its last Pair2q; ops on
+    // different qubits commute, so it waits for the qubit's next
+    // two-qubit gate (or the end of the circuit).
+    const size_t n = circuit.nQubits();
+    std::vector<MaybeSuper> pending(n);
+    std::vector<size_t> level(n, 0);
+    const auto idleUntil = [&](size_t q, size_t lvl) {
+        for (; level[q] < lvl; ++level[q])
+            absorb(pending[q], idle_slot);
+    };
+
+    std::vector<DmOp> ops;
+    for (const Gate &g : circuit.gates()) {
+        if (g.isParameterized())
+            throw std::invalid_argument(
+                "runNoisyDensityMatrix: unbound parameter");
+        const size_t a = g.q0;
+        if (g.isTwoQubit()) {
+            const size_t b = g.q1;
+            const size_t lvl = std::max(level[a], level[b]);
+            idleUntil(a, lvl);
+            idleUntil(b, lvl);
+            level[a] = level[b] = lvl + 1;
+            DmOp op;
+            op.kind = DmOpKind::Pair2q;
+            op.perm = pairPerm(g.type);
+            op.q0 = g.q0;
+            op.q1 = g.q1;
+            op.depol = spec.two_qubit_depol;
+            op.pre0 = pending[a].has_value();
+            op.pre1 = pending[b].has_value();
+            if (op.pre0)
+                op.s0 = *pending[a];
+            if (op.pre1)
+                op.s1 = *pending[b];
+            ops.push_back(op);
+            pending[a] = pending[b] = after_2q;
+            continue;
+        }
+        ++level[a];
+        switch (g.type) {
+          case GateType::I:
+            break;
+          case GateType::Measure:
+            absorb(pending[a], superop::measureDephase());
+            break;
+          case GateType::Reset:
+            absorb(pending[a], superop::reset());
+            break;
+          default:
+            absorb(pending[a],
+                   superop::conjugation(gateMatrix1q(g.type, g.angle)));
+            absorb(pending[a],
+                   isRotationType(g.type) ? after_rotation : after_1q);
+            break;
+        }
+    }
+
+    const size_t depth =
+        n == 0 ? 0 : *std::max_element(level.begin(), level.end());
+    for (size_t q = 0; q < n; ++q) {
+        idleUntil(q, depth);
+        if (!pending[q])
+            continue;
+        DmOp op;
+        op.q0 = static_cast<uint32_t>(q);
+        op.s0 = *pending[q];
+        ops.push_back(op);
+    }
+    return ops;
+}
 
 void
 runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
@@ -103,79 +215,7 @@ runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
 {
     if (circuit.nQubits() != rho.nQubits())
         throw std::invalid_argument("runNoisyDensityMatrix: width mismatch");
-
-    // ASAP layering for idle-noise insertion (mirrors the Clifford
-    // path). Gates are bucketed per level: program order is not
-    // level-sorted, and same-level gates touch disjoint qubits so the
-    // per-level reordering is semantics-preserving.
-    const auto &gates = circuit.gates();
-    std::vector<size_t> qubit_level(circuit.nQubits(), 0);
-    std::vector<std::vector<size_t>> by_level;
-    for (size_t i = 0; i < gates.size(); ++i) {
-        const Gate &g = gates[i];
-        size_t lvl = qubit_level[g.q0];
-        if (g.isTwoQubit())
-            lvl = std::max(lvl, qubit_level[g.q1]);
-        qubit_level[g.q0] = lvl + 1;
-        if (g.isTwoQubit())
-            qubit_level[g.q1] = lvl + 1;
-        if (by_level.size() <= lvl)
-            by_level.resize(lvl + 1);
-        by_level[lvl].push_back(i);
-    }
-
-    const bool idle_noise = spec.use_relaxation || spec.idle_depol > 0.0;
-
-    std::vector<bool> busy(circuit.nQubits());
-    for (const auto &layer : by_level) {
-        std::fill(busy.begin(), busy.end(), false);
-        for (size_t i : layer) {
-            const Gate &g = gates[i];
-            rho.applyGate(g);
-            busy[g.q0] = true;
-            if (g.isTwoQubit())
-                busy[g.q1] = true;
-
-            if (isRotationType(g.type)) {
-                applyPauliChannelIfAny(rho, spec.rotation, g.q0);
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_1q_ns, g.q0);
-            } else if (g.isTwoQubit()) {
-                if (spec.two_qubit_depol > 0.0)
-                    rho.applyDepolarizing2q(spec.two_qubit_depol, g.q0,
-                                            g.q1);
-                if (spec.use_relaxation) {
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, g.q0);
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, g.q1);
-                }
-            } else if (g.type != GateType::I &&
-                       g.type != GateType::Measure &&
-                       g.type != GateType::Reset) {
-                if (spec.one_qubit_depol > 0.0)
-                    rho.applyPauliChannel1q(
-                        depolarizingPauliChannel(spec.one_qubit_depol),
-                        g.q0);
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_1q_ns, g.q0);
-            }
-        }
-        if (idle_noise) {
-            for (size_t q = 0; q < circuit.nQubits(); ++q) {
-                if (busy[q])
-                    continue;
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, q);
-                if (spec.idle_depol > 0.0)
-                    rho.applyPauliChannel1q(
-                        depolarizingPauliChannel(spec.idle_depol), q);
-            }
-        }
-    }
+    rho.execute(compileNoisyStream(circuit, spec));
 }
 
 double

@@ -89,9 +89,22 @@ DmNoiseSpec nisqDmSpec(const NisqParams &params);
 DmNoiseSpec pqecDmSpec(const PqecParams &params);
 
 /**
- * Runs a bound circuit through the density-matrix simulator, inserting
- * the spec's channels after each gate and idle-window noise per ASAP
- * layer. The state is left in @p rho.
+ * Compiles a bound circuit and noise spec into the noisy
+ * density-matrix stream (see DmOp): the spec's channels trail each
+ * gate and idle-window noise fills every ASAP layer in which a qubit
+ * has no gate. A qubit's 1q gates, their channels and its idle noise
+ * fuse into one pending superoperator, which the qubit's next 2q gate
+ * absorbs as a Pair2q pre-op; whatever is left at the end is one
+ * Super1q per qubit. O(gates) 4x4 products, so it is compiled fresh
+ * for every bound circuit.
+ */
+std::vector<DmOp> compileNoisyStream(const Circuit &circuit,
+                                     const DmNoiseSpec &spec);
+
+/**
+ * Runs a bound circuit through the density-matrix simulator with the
+ * spec's noise (compileNoisyStream, then DensityMatrix::execute). The
+ * state is left in @p rho.
  */
 void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
                            DensityMatrix &rho);

@@ -447,8 +447,17 @@ Daemon::handleFrame(Connection &conn, const std::string &payload)
         return sendErr(conn, 0, "bad_request", "invalid_argument",
                        "unparseable request frame");
     requests_total_.fetch_add(1, std::memory_order_relaxed);
-    const std::string &type = frame.str("type");
-    const long long id = frame.has("id") ? frame.integer("id") : 0;
+    // Field types are the client's to get wrong: a non-string type or
+    // a non-int64 id (a string, 1.5, 1e30) is a bad_request with id 0.
+    std::string type;
+    long long id = 0;
+    try {
+        type = frame.str("type");
+        if (frame.has("id"))
+            id = frame.integer("id");
+    } catch (const std::invalid_argument &e) {
+        return sendErr(conn, 0, "bad_request", "invalid_argument", e.what());
+    }
     if (type == "ping")
         return sendFrame(conn, makePongFrame(id));
     if (type == "stats")
@@ -457,10 +466,18 @@ Daemon::handleFrame(Connection &conn, const std::string &payload)
         if (!frame.has("workload") || key.empty())
             return sendErr(conn, id, "bad_request", "invalid_argument",
                            "run request needs \"workload\" and \"key\"");
-        return handleRun(
-            conn, id, frame.str("workload"),
-            frame.has("mode") ? frame.str("mode") : "default", key,
-            frame.has("isolation") ? frame.str("isolation") : "");
+        std::string workload, mode = "default", isolation;
+        try {
+            workload = frame.str("workload");
+            if (frame.has("mode"))
+                mode = frame.str("mode");
+            if (frame.has("isolation"))
+                isolation = frame.str("isolation");
+        } catch (const std::invalid_argument &e) {
+            return sendErr(conn, id, "bad_request", "invalid_argument",
+                           e.what());
+        }
+        return handleRun(conn, id, workload, mode, key, isolation);
     }
     return sendErr(conn, id, "bad_request", "invalid_argument",
                    "unknown request type '" + type + "'");

@@ -207,6 +207,7 @@ class DensityMatrixBackend final : public Backend
           noisy_(noise != nullptr && noise->hasDmNoise()),
           spec_(noise != nullptr ? noise->dm : DmNoiseSpec{})
     {
+        rho_.setParallel(noise == nullptr || noise->parallel);
     }
 
     BackendKind kind() const override { return BackendKind::DensityMatrix; }
@@ -227,9 +228,9 @@ class DensityMatrixBackend final : public Backend
     prepareCompiled(const CompiledCircuit &compiled) override
     {
         rho_.setZeroState();
-        // Gate noise interleaves channels between gates, which the
-        // fused stream cannot express — only the noiseless path
-        // executes compiled ops.
+        // The noisy stream fuses channels with the bound gates it
+        // compiles itself; only the noiseless path executes the
+        // unitary compiled ops.
         if (noisy_)
             runNoisyDensityMatrix(compiled.source(), spec_, rho_);
         else

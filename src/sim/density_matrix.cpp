@@ -6,6 +6,10 @@
 #include <stdexcept>
 #include <string>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "pauli/term_groups.hpp"
 #include "sim/lane_sweep.hpp"
 #include "vqa/fault.hpp"
@@ -30,6 +34,140 @@ checkedDensityMatrixSize(size_t n_qubits)
 }
 
 } // namespace
+
+PairPerm
+pairPerm(GateType t)
+{
+    switch (t) {
+      case GateType::CX: return PairPerm::CX;
+      case GateType::CZ: return PairPerm::CZ;
+      case GateType::Swap: return PairPerm::Swap;
+      default: return PairPerm::None;
+    }
+}
+
+namespace superop {
+
+namespace {
+
+Mat4
+identity()
+{
+    Mat4 m{};
+    m[0] = m[5] = m[10] = m[15] = 1.0;
+    return m;
+}
+
+} // namespace
+
+Mat4
+conjugation(const Mat2 &k)
+{
+    // (K (x) conj K)[(2i + j), (2k + l)] = K[i][k] conj(K[j][l]).
+    Mat4 m;
+    for (int i = 0; i < 2; ++i)
+        for (int j = 0; j < 2; ++j)
+            for (int a = 0; a < 2; ++a)
+                for (int b = 0; b < 2; ++b)
+                    m[4 * (2 * i + j) + 2 * a + b] =
+                        k[2 * i + a] * std::conj(k[2 * j + b]);
+    return m;
+}
+
+Mat4
+kraus(const KrausChannel &channel)
+{
+    Mat4 m{};
+    for (const Mat2 &k : channel.ops) {
+        const Mat4 c = conjugation(k);
+        for (int e = 0; e < 16; ++e)
+            m[e] += c[e];
+    }
+    return m;
+}
+
+Mat4
+pauli(const PauliChannel &ch)
+{
+    // Diagonal blocks mix by X/Y flips, coherences by the X-Y and
+    // I-Z balances: rho00' = (pI + pz) rho00 + (px + py) rho11 and
+    // rho01' = (pI - pz) rho01 + (px - py) rho10.
+    const double pi_ = ch.pIdentity();
+    const double adiag = pi_ + ch.pz, bdiag = ch.px + ch.py;
+    const double aoff = pi_ - ch.pz, boff = ch.px - ch.py;
+    Mat4 m{};
+    m[0] = m[15] = adiag;
+    m[3] = m[12] = bdiag;
+    m[5] = m[10] = aoff;
+    m[6] = m[9] = boff;
+    return m;
+}
+
+Mat4
+amplitudeDamping(double gamma)
+{
+    if (gamma < 0.0 || gamma > 1.0)
+        throw std::invalid_argument("applyAmplitudeDamping: bad gamma");
+    Mat4 m{};
+    m[0] = 1.0;
+    m[3] = gamma;
+    m[5] = m[10] = std::sqrt(1.0 - gamma);
+    m[15] = 1.0 - gamma;
+    return m;
+}
+
+Mat4
+phaseDamping(double lambda)
+{
+    if (lambda < 0.0 || lambda > 1.0)
+        throw std::invalid_argument("applyPhaseDamping: bad lambda");
+    Mat4 m = identity();
+    m[5] = m[10] = std::sqrt(1.0 - lambda);
+    return m;
+}
+
+Mat4
+thermalRelaxation(double t1, double t2, double t)
+{
+    if (t <= 0.0)
+        return identity();
+    const double gamma = 1.0 - std::exp(-t / t1);
+    const double target = std::exp(-t / t2);
+    const double sq1mg = std::sqrt(1.0 - gamma);
+    double lambda = 0.0;
+    if (sq1mg > 0.0) {
+        const double ratio = target / sq1mg;
+        lambda = std::max(0.0, 1.0 - ratio * ratio);
+    }
+    return then(amplitudeDamping(gamma), phaseDamping(lambda));
+}
+
+Mat4
+measureDephase()
+{
+    return phaseDamping(1.0);
+}
+
+Mat4
+reset()
+{
+    Mat4 m{};
+    m[0] = m[3] = 1.0;
+    return m;
+}
+
+Mat4
+then(const Mat4 &first, const Mat4 &second)
+{
+    Mat4 m{};
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            for (int k = 0; k < 4; ++k)
+                m[4 * r + c] += second[4 * r + k] * first[4 * k + c];
+    return m;
+}
+
+} // namespace superop
 
 DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
 {
@@ -107,6 +245,19 @@ conjugate4(const Mat4 &m)
     return out;
 }
 
+/** A Pair2q op with no pre-ops. */
+DmOp
+pairOp(PairPerm perm, size_t q0, size_t q1, double depol = 0.0)
+{
+    DmOp op;
+    op.kind = DmOpKind::Pair2q;
+    op.perm = perm;
+    op.q0 = static_cast<uint32_t>(q0);
+    op.q1 = static_cast<uint32_t>(q1);
+    op.depol = depol;
+    return op;
+}
+
 /** Insert a zero bit at position p (bits at and above p shift up). */
 uint64_t
 insertZeroBit(uint64_t x, uint64_t p)
@@ -116,55 +267,56 @@ insertZeroBit(uint64_t x, uint64_t p)
 }
 
 /**
- * Apply a 4x4 matrix at two global bit positions of a flat vector
- * (pa indexes the high bit of the 4x4 basis): the two-qubit analogue
- * of applyAtBit for ket- and bra-side updates.
+ * Apply a 4x4 matrix (not necessarily unitary) at two global bit
+ * positions of a flat vector (pa indexes the high bit of the 4x4
+ * basis): ket-side 2q gates, and one-qubit superoperators on the
+ * (ket, bra) bit pair.
  */
 void
-applyMat4AtBits(simd::AmpVector &v, const Mat4 &m, size_t pa, size_t pb)
+applyMat4AtBits(simd::AmpVector &v, const Mat4 &m, size_t pa, size_t pb,
+                bool parallel = false)
 {
-    if (simd::tryApply2q(v.data(), v.size(), pa, pb, m, false))
+    if (simd::tryApply2q(v.data(), v.size(), pa, pb, m, parallel))
         return;
     const uint64_t ma = uint64_t{1} << pa;
     const uint64_t mb = uint64_t{1} << pb;
     const uint64_t plow = std::min(pa, pb);
     const uint64_t phigh = std::max(pa, pb);
-    const size_t quarter = v.size() / 4;
-    for (size_t t = 0; t < quarter; ++t) {
-        const uint64_t i00 = insertZeroBit(insertZeroBit(t, plow), phigh);
-        const uint64_t i01 = i00 | mb;
-        const uint64_t i10 = i00 | ma;
-        const uint64_t i11 = i00 | ma | mb;
-        const std::complex<double> v0 = v[i00];
-        const std::complex<double> v1 = v[i01];
-        const std::complex<double> v2 = v[i10];
-        const std::complex<double> v3 = v[i11];
-        v[i00] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
-        v[i01] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
-        v[i10] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
-        v[i11] = m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
-    }
+    std::complex<double> *d = v.data();
+    simd::detail::forSlices(
+        v.size() / 4, parallel,
+        [&](size_t t0, size_t t1) {
+            for (size_t t = t0; t < t1; ++t) {
+                const uint64_t i00 =
+                    insertZeroBit(insertZeroBit(t, plow), phigh);
+                const uint64_t i01 = i00 | mb;
+                const uint64_t i10 = i00 | ma;
+                const uint64_t i11 = i00 | ma | mb;
+                const std::complex<double> v0 = d[i00];
+                const std::complex<double> v1 = d[i01];
+                const std::complex<double> v2 = d[i10];
+                const std::complex<double> v3 = d[i11];
+                using simd::detail::cmul;
+                d[i00] = cmul(m[0], v0) + cmul(m[1], v1) + cmul(m[2], v2) +
+                         cmul(m[3], v3);
+                d[i01] = cmul(m[4], v0) + cmul(m[5], v1) + cmul(m[6], v2) +
+                         cmul(m[7], v3);
+                d[i10] = cmul(m[8], v0) + cmul(m[9], v1) +
+                         cmul(m[10], v2) + cmul(m[11], v3);
+                d[i11] = cmul(m[12], v0) + cmul(m[13], v1) +
+                         cmul(m[14], v2) + cmul(m[15], v3);
+            }
+        },
+        4);
 }
 
 } // namespace
 
 void
-DensityMatrix::applyMatrixKet(const Mat2 &m, size_t q)
-{
-    applyAtBit(data_, m, n_ + q);
-}
-
-void
-DensityMatrix::applyMatrixBra(const Mat2 &m, size_t q)
-{
-    applyAtBit(data_, conjugate(m), q);
-}
-
-void
 DensityMatrix::applyMatrix1q(const Mat2 &u, size_t q)
 {
-    applyMatrixKet(u, q);
-    applyMatrixBra(u, q);
+    applyAtBit(data_, u, n_ + q);
+    applyAtBit(data_, conjugate(u), q);
 }
 
 void
@@ -208,10 +360,10 @@ DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
         return;
       }
       case Gf2PermClass::SingleCX:
-        applyCXConjugation(p.q0, p.q1);
-        return;
       case Gf2PermClass::SingleSwap:
-        applySwapConjugation(p.q0, p.q1);
+        applyPair2q(pairOp(p.cls == Gf2PermClass::SingleCX ? PairPerm::CX
+                                                           : PairPerm::Swap,
+                           p.q0, p.q1));
         return;
       case Gf2PermClass::General:
         break;
@@ -267,72 +419,6 @@ DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
 }
 
 void
-DensityMatrix::applyCXConjugation(size_t control, size_t target)
-{
-    const size_t d = dim();
-    const uint64_t cmask = uint64_t{1} << control;
-    const uint64_t tmask = uint64_t{1} << target;
-    // Row permutation (ket side), then column permutation (bra side);
-    // the CX permutation is an involution so pairwise swaps suffice.
-    for (uint64_t i = 0; i < d; ++i) {
-        if ((i & cmask) && !(i & tmask)) {
-            const uint64_t i2 = i | tmask;
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[i2 * d + j]);
-        }
-    }
-    for (uint64_t j = 0; j < d; ++j) {
-        if ((j & cmask) && !(j & tmask)) {
-            const uint64_t j2 = j | tmask;
-            for (uint64_t i = 0; i < d; ++i)
-                std::swap(data_[i * d + j], data_[i * d + j2]);
-        }
-    }
-}
-
-void
-DensityMatrix::applyCZConjugation(size_t a, size_t b)
-{
-    const size_t d = dim();
-    const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
-    for (uint64_t i = 0; i < d; ++i) {
-        const bool si = (i & mask) == mask;
-        for (uint64_t j = 0; j < d; ++j) {
-            const bool sj = (j & mask) == mask;
-            if (si != sj)
-                data_[i * d + j] = -data_[i * d + j];
-        }
-    }
-}
-
-void
-DensityMatrix::applySwapConjugation(size_t a, size_t b)
-{
-    const size_t d = dim();
-    const uint64_t am = uint64_t{1} << a;
-    const uint64_t bm = uint64_t{1} << b;
-    auto perm = [&](uint64_t i) -> uint64_t {
-        const bool ba = i & am;
-        const bool bb = i & bm;
-        if (ba == bb)
-            return i;
-        return i ^ am ^ bm;
-    };
-    for (uint64_t i = 0; i < d; ++i) {
-        const uint64_t pi = perm(i);
-        if (pi > i)
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[pi * d + j]);
-    }
-    for (uint64_t j = 0; j < d; ++j) {
-        const uint64_t pj = perm(j);
-        if (pj > j)
-            for (uint64_t i = 0; i < d; ++i)
-                std::swap(data_[i * d + j], data_[i * d + pj]);
-    }
-}
-
-void
 DensityMatrix::applyGate(const Gate &g)
 {
     if (g.isParameterized())
@@ -342,13 +428,9 @@ DensityMatrix::applyGate(const Gate &g)
       case GateType::I:
         return;
       case GateType::CX:
-        applyCXConjugation(g.q0, g.q1);
-        return;
       case GateType::CZ:
-        applyCZConjugation(g.q0, g.q1);
-        return;
       case GateType::Swap:
-        applySwapConjugation(g.q0, g.q1);
+        applyPair2q(pairOp(pairPerm(g.type), g.q0, g.q1));
         return;
       case GateType::Measure:
         applyMeasurementDephase(g.q0);
@@ -357,8 +439,88 @@ DensityMatrix::applyGate(const Gate &g)
         applyResetChannel(g.q0);
         return;
       default:
-        applyMatrix1q(gateMatrix1q(g.type, g.angle), g.q0);
+        applySuper1q(superop::conjugation(gateMatrix1q(g.type, g.angle)),
+                     g.q0);
         return;
+    }
+}
+
+bool
+DensityMatrix::forkable() const
+{
+#ifdef _OPENMP
+    return parallel_ && !omp_in_parallel();
+#else
+    return false;
+#endif
+}
+
+void
+DensityMatrix::applySuper1q(const Mat4 &s, size_t q)
+{
+    applyMat4AtBits(data_, s, n_ + q, q, forkable());
+}
+
+void
+DensityMatrix::applyPair2q(const DmOp &op)
+{
+    if (op.depol < 0.0 || op.depol > 1.0)
+        throw std::invalid_argument("applyDepolarizing2q: bad p");
+    // Group-local index k = 8 ket_a + 4 ket_b + 2 bra_a + bra_b.
+    const uint64_t bit[4] = {n_ + op.q0, n_ + op.q1, op.q0, op.q1};
+    const auto offset = [&](int k) {
+        uint64_t off = 0;
+        for (int j = 0; j < 4; ++j)
+            if (k & (8 >> j))
+                off |= uint64_t{1} << bit[j];
+        return off;
+    };
+    simd::PairKernel pk;
+    std::copy(std::begin(bit), std::end(bit), std::begin(pk.pos));
+    std::sort(std::begin(pk.pos), std::end(pk.pos));
+    pk.pre_a = op.pre0 ? &op.s0 : nullptr;
+    pk.pre_b = op.pre1 ? &op.s1 : nullptr;
+    if (op.depol > 0.0) {
+        // (1 - p) rho + p/15 sum_{P != II} P rho P: mix by 16p/15
+        // toward (pair-traced rho) (x) I/4.
+        const double lambda = 16.0 * op.depol / 15.0;
+        pk.depol = true;
+        pk.keep = 1.0 - lambda;
+        pk.quarter_mix = 0.25 * lambda;
+    }
+    for (int k = 0; k < 16; ++k) {
+        // The same basis permutation on the ket pair and the bra pair.
+        int ka = (k >> 3) & 1, kb = (k >> 2) & 1;
+        int ba = (k >> 1) & 1, bb = k & 1;
+        switch (op.perm) {
+          case PairPerm::None:
+            break;
+          case PairPerm::CX:
+            kb ^= ka;
+            bb ^= ba;
+            break;
+          case PairPerm::CZ:
+            pk.flip[k] = (ka & kb) != (ba & bb);
+            break;
+          case PairPerm::Swap:
+            std::swap(ka, kb);
+            std::swap(ba, bb);
+            break;
+        }
+        pk.from[k] = offset(k);
+        pk.to[k] = offset(8 * ka + 4 * kb + 2 * ba + bb);
+    }
+    simd::applyPair2q(data_.data(), data_.size(), pk, forkable());
+}
+
+void
+DensityMatrix::execute(const std::vector<DmOp> &ops)
+{
+    for (const DmOp &op : ops) {
+        if (op.kind == DmOpKind::Super1q)
+            applySuper1q(op.s0, op.q0);
+        else
+            applyPair2q(op);
     }
 }
 
@@ -402,203 +564,51 @@ DensityMatrix::runCompiled(const CompiledCircuit &compiled)
 void
 DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
 {
-    simd::AmpVector acc(data_.size(), {0.0, 0.0});
-    simd::AmpVector scratch;
-    for (const auto &k : channel.ops) {
-        scratch = data_;
-        applyAtBit(scratch, k, n_ + q);
-        applyAtBit(scratch, conjugate(k), q);
-        for (size_t i = 0; i < acc.size(); ++i)
-            acc[i] += scratch[i];
-    }
-    data_ = std::move(acc);
+    applySuper1q(superop::kraus(channel), q);
 }
 
 void
 DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
 {
-    // Closed form over the 2x2 block structure of qubit q:
-    //   A' = (pI+pz) A + (px+py) D      (q_ket = q_bra = 0 / 1 blocks)
-    //   B' = (pI-pz) B + (px-py) C      (off-diagonal blocks)
-    const double pi_ = channel.pIdentity();
-    const double adiag = pi_ + channel.pz;
-    const double bdiag = channel.px + channel.py;
-    const double aoff = pi_ - channel.pz;
-    const double boff = channel.px - channel.py;
-
-    const size_t d = dim();
-    const size_t stride = size_t{1} << q;
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                for (size_t jlo = 0; jlo < stride; ++jlo) {
-                    const size_t j0 = jhi + jlo;
-                    const size_t j1 = j0 + stride;
-                    auto &a = data_[i0 * d + j0];
-                    auto &b = data_[i0 * d + j1];
-                    auto &c = data_[i1 * d + j0];
-                    auto &dd = data_[i1 * d + j1];
-                    const auto a0 = a, b0 = b, c0 = c, d0 = dd;
-                    a = adiag * a0 + bdiag * d0;
-                    dd = bdiag * a0 + adiag * d0;
-                    b = aoff * b0 + boff * c0;
-                    c = boff * b0 + aoff * c0;
-                }
-            }
-        }
-    }
+    applySuper1q(superop::pauli(channel), q);
 }
 
 void
 DensityMatrix::applyDepolarizing2q(double p, size_t q0, size_t q1)
 {
-    if (p < 0.0 || p > 1.0)
-        throw std::invalid_argument("applyDepolarizing2q: bad p");
-    // rho -> (1 - 16p/15) rho + (16p/15) * (I/4 (x) I/4 on the pair),
-    // equivalently (1-p) rho + p/15 sum_{P != II} P rho P. Use the
-    // twirl form: full depolarization of the pair mixes toward the
-    // maximally mixed state on those two qubits.
-    const double lam = 16.0 * p / 15.0;
-
-    // Partial trace over the pair, re-tensored with I/4.
-    const size_t d = dim();
-    const uint64_t m0 = uint64_t{1} << q0;
-    const uint64_t m1 = uint64_t{1} << q1;
-    const uint64_t pair = m0 | m1;
-
-    std::vector<std::complex<double>> mixed(data_.size(), {0.0, 0.0});
-    for (uint64_t i = 0; i < d; ++i) {
-        for (uint64_t j = 0; j < d; ++j) {
-            if ((i & pair) != (j & pair))
-                continue; // off-diagonal in the pair traces away
-            // Accumulate the reduced element into all four diagonal
-            // pair-states with weight 1/4.
-            const std::complex<double> v = data_[i * d + j] * 0.25;
-            const uint64_t ibase = i & ~pair;
-            const uint64_t jbase = j & ~pair;
-            for (uint64_t s = 0; s < 4; ++s) {
-                const uint64_t bits =
-                    ((s & 1) ? m0 : 0) | ((s & 2) ? m1 : 0);
-                mixed[(ibase | bits) * d + (jbase | bits)] += v;
-            }
-        }
-    }
-    for (size_t idx = 0; idx < data_.size(); ++idx)
-        data_[idx] = (1.0 - lam) * data_[idx] + lam * mixed[idx];
+    applyPair2q(pairOp(PairPerm::None, q0, q1, p));
 }
 
 void
 DensityMatrix::applyAmplitudeDamping(double gamma, size_t q)
 {
-    if (gamma < 0.0 || gamma > 1.0)
-        throw std::invalid_argument("applyAmplitudeDamping: bad gamma");
-    const double keep = std::sqrt(1.0 - gamma);
-    const size_t d = dim();
-    const size_t stride = size_t{1} << q;
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                for (size_t jlo = 0; jlo < stride; ++jlo) {
-                    const size_t j0 = jhi + jlo;
-                    const size_t j1 = j0 + stride;
-                    auto &a = data_[i0 * d + j0];
-                    auto &b = data_[i0 * d + j1];
-                    auto &c = data_[i1 * d + j0];
-                    auto &dd = data_[i1 * d + j1];
-                    a += gamma * dd;
-                    dd *= 1.0 - gamma;
-                    b *= keep;
-                    c *= keep;
-                }
-            }
-        }
-    }
+    applySuper1q(superop::amplitudeDamping(gamma), q);
 }
 
 void
 DensityMatrix::applyPhaseDamping(double lambda, size_t q)
 {
-    if (lambda < 0.0 || lambda > 1.0)
-        throw std::invalid_argument("applyPhaseDamping: bad lambda");
-    const double keep = std::sqrt(1.0 - lambda);
-    const size_t d = dim();
-    const size_t stride = size_t{1} << q;
-    // The off-diagonal (ket bit != bra bit) elements of qubit q form
-    // stride-long contiguous runs in each row: scale them run-wise.
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                simd::scaleRun(&data_[i0 * d + jhi + stride], stride,
-                               keep);
-                simd::scaleRun(&data_[i1 * d + jhi], stride, keep);
-            }
-        }
-    }
+    applySuper1q(superop::phaseDamping(lambda), q);
 }
 
 void
 DensityMatrix::applyThermalRelaxation(double t1, double t2, double t,
                                       size_t q)
 {
-    if (t <= 0.0)
-        return;
-    const double gamma = 1.0 - std::exp(-t / t1);
-    const double target = std::exp(-t / t2);
-    const double sq1mg = std::sqrt(1.0 - gamma);
-    double lambda = 0.0;
-    if (sq1mg > 0.0) {
-        const double ratio = target / sq1mg;
-        lambda = std::max(0.0, 1.0 - ratio * ratio);
-    }
-    applyAmplitudeDamping(gamma, q);
-    applyPhaseDamping(lambda, q);
+    if (t > 0.0)
+        applySuper1q(superop::thermalRelaxation(t1, t2, t), q);
 }
 
 void
 DensityMatrix::applyMeasurementDephase(size_t q)
 {
-    applyPhaseDamping(1.0, q);
+    applySuper1q(superop::measureDephase(), q);
 }
 
 void
 DensityMatrix::applyResetChannel(size_t q)
 {
-    applyMeasurementDephase(q);
-    // Move the ket=bra=1 block to the 0 block. For a fixed row pair
-    // the bra-side bit-clear indices form stride-long contiguous runs.
-    const size_t d = dim();
-    const uint64_t qmask = uint64_t{1} << q;
-    const size_t stride = size_t{1} << q;
-    for (uint64_t i = 0; i < d; ++i) {
-        if (i & qmask)
-            continue;
-        const uint64_t i1 = i | qmask;
-        for (uint64_t jhi = 0; jhi < d; jhi += 2 * stride)
-            simd::addAndZeroRun(&data_[i * d + jhi],
-                                &data_[i1 * d + jhi + stride], stride);
-    }
-}
-
-void
-DensityMatrix::applyPauliConjugation(const PauliString &p)
-{
-    const size_t d = dim();
-    simd::AmpVector out(data_.size());
-    std::complex<double> ai, aj;
-    for (uint64_t i = 0; i < d; ++i) {
-        const uint64_t pi = p.applyToBasis(i, ai);
-        for (uint64_t j = 0; j < d; ++j) {
-            const uint64_t pj = p.applyToBasis(j, aj);
-            out[pi * d + pj] = ai * std::conj(aj) * data_[i * d + j];
-        }
-    }
-    data_ = std::move(out);
+    applySuper1q(superop::reset(), q);
 }
 
 double

@@ -13,8 +13,8 @@
  *
  * Determinism contract
  * --------------------
- * Every elementwise kernel here (1q/2q unitaries, diagonal phase
- * sweeps, xor-mask permutations, channel scale/accumulate runs)
+ * Every elementwise kernel here (1q/2q unitaries and superoperators,
+ * diagonal phase sweeps, xor-mask permutations, noisy Pair2q groups)
  * performs per-amplitude arithmetic in exactly the scalar operation
  * order — complex multiplies are expanded to the same
  * (ar*br - ai*bi, ar*bi + ai*br) form std::complex uses, sums keep the
@@ -206,6 +206,31 @@ struct AlignedAllocator
 /** Amplitude storage of the dense simulators. */
 using AmpVector = std::vector<cd, AlignedAllocator<cd>>;
 
+/**
+ * One Pair2q pass of the noisy density-matrix stream (see
+ * sim/density_matrix.hpp). The vector is split into 16-element groups
+ * that vary four bits; group-local element k = 8 ket_a + 4 ket_b +
+ * 2 bra_a + bra_b is read at offset from[k] from the group base. Per
+ * group, in order: the optional 4x4 superoperator pre_a on each
+ * (ket_a, bra_a) quad and pre_b on each (ket_b, bra_b) quad; when
+ * depol, v <- keep v plus quarter_mix (v0 + v5 + v10 + v15) on the
+ * four pair-diagonal elements (mixing toward the pair-traced
+ * diagonal); then element k is written at offset to[k], negated when
+ * flip[k] (the pair's index permutation on both halves).
+ */
+struct PairKernel
+{
+    uint64_t from[16] = {};
+    uint64_t to[16] = {};
+    bool flip[16] = {};
+    uint64_t pos[4] = {}; ///< the four varied bit positions, ascending
+    const Mat4 *pre_a = nullptr;
+    const Mat4 *pre_b = nullptr;
+    bool depol = false;
+    double keep = 1.0;
+    double quarter_mix = 0.0;
+};
+
 namespace detail {
 
 /** Insert a zero bit at position p (bits at and above p shift up). */
@@ -219,15 +244,17 @@ insertZeroBit(uint64_t x, uint64_t p)
 /**
  * Split @p n_chunks of vector work into contiguous slices and run
  * fn(chunk_begin, chunk_end) per slice, OpenMP-parallel when asked and
- * the total amplitude count clears the fork grain. Chunks are whole
- * vector registers, so slice boundaries are always lane-aligned.
+ * the total amplitude count (@p amps_per_chunk per chunk) clears the
+ * fork grain. Chunks are whole vector registers, so slice boundaries
+ * are always lane-aligned.
  */
 template <class Fn>
 inline void
-forSlices(size_t n_chunks, bool parallel, Fn &&fn)
+forSlices(size_t n_chunks, bool parallel, Fn &&fn,
+          size_t amps_per_chunk = kLanes)
 {
 #ifdef _OPENMP
-    if (parallel && n_chunks * kLanes >= kParallelGrainAmps &&
+    if (parallel && n_chunks * amps_per_chunk >= kParallelGrainAmps &&
         omp_get_max_threads() > 1) {
         const size_t nslices = std::min<size_t>(
             static_cast<size_t>(omp_get_max_threads()) * 4, n_chunks);
@@ -242,6 +269,90 @@ forSlices(size_t n_chunks, bool parallel, Fn &&fn)
     (void)parallel;
 #endif
     fn(0, n_chunks);
+}
+
+/** Group-local indices of the four (ket, bra) quads of each qubit,
+ *  quad j over 4x4 basis index r = 2 ket + bra. */
+inline constexpr uint8_t kPairQuadA[4][4] = {
+    {0, 2, 8, 10}, {1, 3, 9, 11}, {4, 6, 12, 14}, {5, 7, 13, 15}};
+inline constexpr uint8_t kPairQuadB[4][4] = {
+    {0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15}};
+
+/** Group base of group index t: zeros inserted at the four bits. */
+inline uint64_t
+pairGroupBase(uint64_t t, const uint64_t (&pos)[4])
+{
+    for (const uint64_t p : pos)
+        t = insertZeroBit(t, p);
+    return t;
+}
+
+/** a * b in the expansion std::complex uses for finite operands (and
+ *  the vector kernels repeat), without its NaN-recovery branch. */
+inline cd
+cmul(cd a, cd b)
+{
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/** out[r] = sum_c m[4r + c] x[c] over the quad, left to right. */
+inline void
+quad4(cd *v, const cd *m, const uint8_t (&q)[4])
+{
+    const cd x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r)
+        v[q[r]] = cmul(m[4 * r], x0) + cmul(m[4 * r + 1], x1) +
+                  cmul(m[4 * r + 2], x2) + cmul(m[4 * r + 3], x3);
+}
+
+/** Depolarizing and the permuted store of one group held in @p v.
+ *  Never inlined, so a target-attributed caller whose ISA implies FMA
+ *  cannot contract its mul/add pairs. */
+[[gnu::noinline]] inline void
+pairGroupTail(cd *v, cd *base, const PairKernel &k)
+{
+    if (k.depol) {
+        const cd t = (v[0] + v[5] + v[10] + v[15]) * k.quarter_mix;
+        for (int e = 0; e < 16; ++e)
+            v[e] = v[e] * k.keep;
+        for (const int e : {0, 5, 10, 15})
+            v[e] = v[e] + t;
+    }
+    for (int e = 0; e < 16; ++e)
+        base[k.to[e]] = k.flip[e] ? v[e] * -1.0 : v[e];
+}
+
+/** Scalar reference of the Pair2q pass over groups [g0, g1); the
+ *  vector kernels repeat its per-element operation order. */
+inline void
+pairGroupsScalar(cd *data, size_t g0, size_t g1, const PairKernel &pk)
+{
+    const PairKernel k = pk; // locals: the stores below cannot alias
+    cd ma[16], mb[16];
+    for (int e = 0; e < 16; ++e) {
+        ma[e] = k.pre_a ? (*k.pre_a)[e] : cd{};
+        mb[e] = k.pre_b ? (*k.pre_b)[e] : cd{};
+    }
+    cd v[16];
+    for (size_t g = g0; g < g1; ++g) {
+        cd *base = data + pairGroupBase(g, k.pos);
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            v[e] = base[k.from[e]];
+        if (k.pre_a) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                quad4(v, ma, kPairQuadA[j]);
+        }
+        if (k.pre_b) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                quad4(v, mb, kPairQuadB[j]);
+        }
+        pairGroupTail(v, base, k);
+    }
 }
 
 #if defined(EFTVQA_SIMD_VECTOR)
@@ -426,6 +537,11 @@ vsetPattern2(cd x, cd y)
 {
     return _mm256_setr_pd(x.real(), x.imag(), y.real(), y.imag());
 }
+/** No-op: the avx2 target has no FMA to contract into. */
+EFTVQA_SIMD_TARGET inline void
+vopaque(CVec &)
+{
+}
 EFTVQA_SIMD_TARGET inline CVec
 vcmul(CVec a, CVec b)
 {
@@ -552,6 +668,11 @@ vsetPattern2(cd x, cd y)
         v.im[int(j)] = c.imag();
     }
     return v;
+}
+/** No-op: the portable tier compiles without FMA. */
+inline void
+vopaque(CVec &)
+{
 }
 inline CVec
 vcmul(CVec a, CVec b)
@@ -722,6 +843,48 @@ kernApply2q(cd *data, size_t c0, size_t c1, uint64_t plow,
     }
 }
 
+/** Rows (2 rh, 2 rh + 1) of @p u as lane patterns over the pair
+ *  layout [x(low bit 0), x(low bit 1)]: p[c] = [u[8 rh + c],
+ *  u[8 rh + 4 + c]]. */
+EFTVQA_SIMD_TARGET inline void
+rowPairPatterns(const Mat4 &u, CVec *p)
+{
+    for (int rh = 0; rh < 2; ++rh)
+        for (int c = 0; c < 4; ++c)
+            p[4 * rh + c] = vsetPattern2(u[8 * rh + c], u[8 * rh + 4 + c]);
+}
+
+/** 4x4 on a quad held as A = [x0, x1], B = [x2, x3] (the low basis
+ *  bit in the lane pair), in the scalar row order x0, x1, x2, x3. */
+EFTVQA_SIMD_TARGET inline void
+kernPairQuad(CVec &a, CVec &b, const CVec *p)
+{
+    const CVec a0 = vdupPairsEven(a), a1 = vdupPairsOdd(a);
+    const CVec b0 = vdupPairsEven(b), b1 = vdupPairsOdd(b);
+    a = vadd(vadd(vadd(vcmul(p[0], a0), vcmul(p[1], a1)), vcmul(p[2], b0)),
+             vcmul(p[3], b1));
+    b = vadd(vadd(vadd(vcmul(p[4], a0), vcmul(p[5], a1)), vcmul(p[6], b0)),
+             vcmul(p[7], b1));
+}
+
+/** Fused 4x4 with the low basis bit at position 0 and the high one at
+ *  pa >= log2(kLanes): each vector holds kLanes/2 whole (i00, i01)
+ *  pairs, resolved by in-register pair duplication. */
+EFTVQA_SIMD_TARGET inline void
+kernApply2qBit0(cd *data, size_t c0, size_t c1, uint64_t pa, const Mat4 &u)
+{
+    CVec p[8];
+    rowPairPatterns(u, p);
+    const uint64_t ma = uint64_t{1} << pa;
+    for (size_t c = c0; c < c1; ++c) {
+        cd *lo = data + insertZeroBit(c * kLanes, pa);
+        CVec a = vload(lo), b = vload(lo + ma);
+        kernPairQuad(a, b, p);
+        vstore(lo, a);
+        vstore(lo + ma, b);
+    }
+}
+
 /** Contiguous-mask diagonal table multiply; @p base is the absolute
  *  index of data[0] (block offset under blocked execution). */
 EFTVQA_SIMD_TARGET inline void
@@ -791,17 +954,6 @@ kernScaleRun(cd *p, size_t n_chunks, double s)
 {
     for (size_t c = 0; c < n_chunks; ++c)
         vstore(p + c * kLanes, vscale(vload(p + c * kLanes), s));
-}
-
-/** dst += src; src = 0 over a run of whole chunks (reset channel). */
-EFTVQA_SIMD_TARGET inline void
-kernAddZeroRun(cd *dst, cd *src, size_t n_chunks)
-{
-    for (size_t c = 0; c < n_chunks; ++c) {
-        const size_t i = c * kLanes;
-        vstore(dst + i, vadd(vload(dst + i), vload(src + i)));
-        vstore(src + i, vzero());
-    }
 }
 
 /** row[j] *= pi * conj(ph[j]) over whole chunks (density-matrix
@@ -945,6 +1097,148 @@ kernSweepDmBand(const cd *data, size_t d, uint64_t start, size_t len,
     s.reduce(out);
 }
 
+/** Pair2q quad: out[r] = sum_c u[4r + c] x[c], left to right. */
+EFTVQA_SIMD_TARGET inline void
+kernQuad4(CVec *v, const CVec *u, const uint8_t (&q)[4])
+{
+    const CVec x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r)
+        v[q[r]] = vadd(vadd(vadd(vcmul(u[4 * r], x0),
+                                 vcmul(u[4 * r + 1], x1)),
+                            vcmul(u[4 * r + 2], x2)),
+                       vcmul(u[4 * r + 3], x3));
+}
+
+/** Pair2q pass, lowest varied bit >= lane width: chunk c holds groups
+ *  [c kLanes, (c + 1) kLanes), adjacent in every one of the 16 slots. */
+EFTVQA_SIMD_TARGET inline void
+kernPair2q(cd *data, size_t c0, size_t c1, const PairKernel &pk)
+{
+    const PairKernel k = pk; // locals: the stores below cannot alias
+    CVec ua[16], ub[16];
+    for (int e = 0; e < 16; ++e) {
+        ua[e] = vbroadcast(k.pre_a ? (*k.pre_a)[e] : cd{});
+        ub[e] = vbroadcast(k.pre_b ? (*k.pre_b)[e] : cd{});
+    }
+    CVec v[16];
+    for (size_t c = c0; c < c1; ++c) {
+        cd *base = data + pairGroupBase(c * kLanes, k.pos);
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            v[e] = vload(base + k.from[e]);
+        if (k.pre_a) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                kernQuad4(v, ua, kPairQuadA[j]);
+        }
+        if (k.pre_b) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                kernQuad4(v, ub, kPairQuadB[j]);
+        }
+        if (k.depol) {
+            CVec t = vscale(vadd(vadd(vadd(v[0], v[5]), v[10]), v[15]),
+                            k.quarter_mix);
+            vopaque(t); // keep each mul and add unfused
+#pragma GCC unroll 16
+            for (int e = 0; e < 16; ++e)
+                v[e] = vscale(v[e], k.keep);
+            for (const int e : {0, 5, 10, 15}) {
+                vopaque(v[e]);
+                v[e] = vadd(v[e], t);
+            }
+        }
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            vstore(base + k.to[e], k.flip[e] ? vscale(v[e], -1.0) : v[e]);
+    }
+}
+
+/**
+ * Pair2q pass when bit 0 is one of the four varied bits (the bra bit
+ * of qubit a when lane_bit = 2, of qubit b when lane_bit = 1) and the
+ * next one is at least log2(kLanes): each vector holds that bit's two
+ * values for kLanes/2 adjacent groups, so a group lives in 8 vectors.
+ * The pre-ops run in lanes; depolarizing and the permuted stores run
+ * per group from a small buffer, in the scalar order.
+ */
+EFTVQA_SIMD_TARGET inline void
+kernPair2qBit0(cd *data, size_t c0, size_t c1, const PairKernel &pk,
+               int lane_bit)
+{
+    const PairKernel k = pk; // locals: the stores below cannot alias
+    // Group element e lives in vector half(e), lane bit (e & lane_bit).
+    const auto half = [lane_bit](int e) {
+        return ((e >> 1) & ~(lane_bit - 1)) | (e & (lane_bit - 1));
+    };
+    const bool lane_is_a = lane_bit == 2;
+    // The lane qubit's four quads as (A, B) vector pairs; the other
+    // qubit's two lane-bit-0 quads as vector quads.
+    const uint8_t (*lane_quads)[4] = lane_is_a ? kPairQuadA : kPairQuadB;
+    const uint8_t (*other_quads)[4] = lane_is_a ? kPairQuadB : kPairQuadA;
+    uint8_t lq[4][2], oq[2][4];
+    for (int j = 0; j < 4; ++j) {
+        lq[j][0] = static_cast<uint8_t>(half(lane_quads[j][0]));
+        lq[j][1] = static_cast<uint8_t>(half(lane_quads[j][2]));
+    }
+    for (int j = 0; j < 2; ++j)
+        for (int r = 0; r < 4; ++r)
+            oq[j][r] = static_cast<uint8_t>(half(other_quads[2 * j][r]));
+    const Mat4 *lane_pre = lane_is_a ? k.pre_a : k.pre_b;
+    const Mat4 *other_pre = lane_is_a ? k.pre_b : k.pre_a;
+    CVec lp[8], ou[16];
+    if (lane_pre)
+        rowPairPatterns(*lane_pre, lp);
+    for (int e = 0; e < 16; ++e)
+        ou[e] = vbroadcast(other_pre ? (*other_pre)[e] : cd{});
+    const auto laneQuads = [&](CVec *w) {
+        for (int j = 0; j < 4; ++j)
+            kernPairQuad(w[lq[j][0]], w[lq[j][1]], lp);
+    };
+    const auto otherQuads = [&](CVec *w) {
+        for (int j = 0; j < 2; ++j)
+            kernQuad4(w, ou, oq[j]);
+    };
+    uint64_t from[8];
+    uint8_t slot[16];
+    for (int e = 0; e < 16; ++e) {
+        if (!(e & lane_bit))
+            from[half(e)] = k.from[e];
+        slot[e] = static_cast<uint8_t>(half(e) * kLanes +
+                                       ((e & lane_bit) ? 1 : 0));
+    }
+    CVec w[8];
+    cd buf[8 * kLanes];
+    cd v[16];
+    for (size_t c = c0; c < c1; ++c) {
+        cd *base = data + pairGroupBase(c * (kLanes / 2), k.pos);
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j)
+            w[j] = vload(base + from[j]);
+        if (k.pre_a) {
+            if (lane_is_a)
+                laneQuads(w);
+            else
+                otherQuads(w);
+        }
+        if (k.pre_b) {
+            if (lane_is_a)
+                otherQuads(w);
+            else
+                laneQuads(w);
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j)
+            vstore(buf + j * kLanes, w[j]);
+        for (size_t g = 0; g < kLanes / 2; ++g) {
+            for (int e = 0; e < 16; ++e)
+                v[e] = buf[slot[e] + 2 * g];
+            pairGroupTail(v, base + 2 * g, k);
+        }
+    }
+}
+
 #endif // EFTVQA_SIMD_VECTOR
 
 } // namespace detail
@@ -1000,6 +1294,15 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     const size_t plow = qa < qb ? qa : qb;
+    if (enabled() && qb == 0 && (size_t{1} << qa) >= kLanes &&
+        span >= 4 * kLanes) {
+        detail::forSlices(span / (2 * kLanes), parallel,
+                          [&](size_t c0, size_t c1) {
+                              detail::kernApply2qBit0(data, c0, c1, qa, u);
+                          },
+                          2 * kLanes);
+        return true;
+    }
     if (!enabled() || (size_t{1} << plow) < kLanes || span < 4 * kLanes)
         return false;
     const size_t phigh = qa < qb ? qb : qa;
@@ -1020,6 +1323,44 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
     (void)parallel;
     return false;
 #endif
+}
+
+/** Pair2q pass over [data, data + span) (always executes: vector
+ *  lanes run across adjacent groups when the lowest varied bit is at
+ *  least the lane width, the scalar reference otherwise). */
+inline void
+applyPair2q(cd *data, size_t span, const PairKernel &pk, bool parallel)
+{
+    const size_t groups = span / 16;
+#if defined(EFTVQA_SIMD_VECTOR)
+    if (enabled() && (uint64_t{1} << pk.pos[0]) >= kLanes) {
+        detail::forSlices(
+            groups / kLanes, parallel,
+            [&](size_t c0, size_t c1) {
+                detail::kernPair2q(data, c0, c1, pk);
+            },
+            16 * kLanes);
+        return;
+    }
+    // Bit 0 is a bra bit (the from offsets of elements 1 and 2 are the
+    // bra_b and bra_a masks).
+    const int lane_bit = pk.from[1] == 1 ? 1 : pk.from[2] == 1 ? 2 : 0;
+    if (enabled() && lane_bit && (uint64_t{1} << pk.pos[1]) >= kLanes) {
+        detail::forSlices(
+            groups / (kLanes / 2), parallel,
+            [&](size_t c0, size_t c1) {
+                detail::kernPair2qBit0(data, c0, c1, pk, lane_bit);
+            },
+            8 * kLanes);
+        return;
+    }
+#endif
+    detail::forSlices(
+        groups, parallel,
+        [&](size_t g0, size_t g1) {
+            detail::pairGroupsScalar(data, g0, g1, pk);
+        },
+        16);
 }
 
 /** Contiguous-mask diagonal table multiply over [data, data + span);
@@ -1127,23 +1468,6 @@ zeroRun(cd *p, size_t n)
 {
     for (size_t i = 0; i < n; ++i)
         p[i] = cd{0.0, 0.0};
-}
-
-/** dst[i] += src[i]; src[i] = 0 over a run. */
-inline void
-addAndZeroRun(cd *dst, cd *src, size_t n)
-{
-    size_t i = 0;
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (enabled() && n >= kLanes) {
-        detail::kernAddZeroRun(dst, src, n / kLanes);
-        i = (n / kLanes) * kLanes;
-    }
-#endif
-    for (; i < n; ++i) {
-        dst[i] += src[i];
-        src[i] = cd{0.0, 0.0};
-    }
 }
 
 /** row[j] *= pi * conj(ph[j]) over n columns. */

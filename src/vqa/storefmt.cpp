@@ -172,7 +172,8 @@ class FlatObjectParser
         } else {
             char *end = nullptr;
             const long long v = std::strtoll(token.c_str(), &end, 10);
-            if (end != token.c_str() + token.size())
+            // Out of int64 range: reject rather than clamp.
+            if (end != token.c_str() + token.size() || errno == ERANGE)
                 return false;
             row.set(name, v);
         }

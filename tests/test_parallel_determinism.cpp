@@ -21,6 +21,7 @@
 #include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
+#include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 #include "stabilizer/noisy_clifford.hpp"
 #include "vqa/clifford_vqe.hpp"
@@ -445,6 +446,50 @@ TEST(ParallelDeterminism, ContentHashDistinguishesCircuits)
     wide.cx(0, 1);
     wide.rz(2, 0.5);
     EXPECT_NE(a.contentHash(), wide.contentHash());
+}
+
+TEST(ParallelDeterminism, NoisyDensityMatrixEnergyThreadAndIsaInvariant)
+{
+    // The noisy DM stream splits each op across the OpenMP team and
+    // runs vector kernels where the pair bits allow: the 8-qubit FCHE
+    // energies must keep every bit at 1 and 4 threads, with the SIMD
+    // dispatch pinned to scalar and left on auto.
+    const auto ansatz = fcheAnsatz(8, 1);
+    Rng rng(2024);
+    std::vector<double> params(ansatz.nParameters());
+    for (auto &p : params)
+        p = rng.uniform(-M_PI, M_PI);
+    const Circuit circuit = ansatz.bind(params);
+    const auto ham = heisenbergHamiltonian(8, 1.0);
+    const DmNoiseSpec specs[] = {nisqDmSpec(NisqParams{}),
+                                 pqecDmSpec(PqecParams{})};
+
+#ifdef _OPENMP
+    const int max_threads = omp_get_max_threads();
+    const int thread_counts[] = {1, 4};
+#else
+    const int thread_counts[] = {1};
+#endif
+    for (const DmNoiseSpec &spec : specs) {
+        std::vector<double> energies;
+        for (const int simd_mode : {0, -1})
+            for (const int threads : thread_counts) {
+#ifdef _OPENMP
+                omp_set_num_threads(threads);
+#else
+                (void)threads;
+#endif
+                simd::setSimdMode(simd_mode);
+                energies.push_back(
+                    noisyDensityMatrixEnergy(circuit, ham, spec));
+            }
+        simd::setSimdMode(-1);
+#ifdef _OPENMP
+        omp_set_num_threads(max_threads);
+#endif
+        for (size_t k = 1; k < energies.size(); ++k)
+            EXPECT_EQ(energies[k], energies[0]) << "run " << k;
+    }
 }
 
 TEST(ParallelDeterminism, TruncateGatesRewindsToPrefix)

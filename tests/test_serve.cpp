@@ -348,6 +348,43 @@ TEST(Daemon, RejectsMalformedAndUnknownRequests)
     EXPECT_EQ(g_evals.load(), 0);
 }
 
+TEST(Daemon, AnswersMistypedFieldsWithBadRequest)
+{
+    // A string, fractional or out-of-int64 id, or a non-string type,
+    // used to throw out of the serve thread and terminate the daemon.
+    resetSynthState(true);
+    const serve::ServeConfig config = baseConfig("serve_badid.sock");
+    serve::Daemon daemon(config, synthCatalog());
+    serve::DaemonClient client =
+        serve::DaemonClient::connectUnix(config.socket_path);
+    serve::DaemonReply reply;
+
+    for (const char *frame :
+         {"{\"type\":\"ping\",\"id\":\"x\"}", "{\"type\":\"ping\",\"id\":1.5}",
+          "{\"type\":\"ping\",\"id\":1e30}",
+          "{\"type\":\"stats\",\"id\":99999999999999999999}",
+          "{\"type\":5,\"id\":3}", "{\"type\":true}"}) {
+        ASSERT_TRUE(writeFrame(client.fd(), frame)) << frame;
+        ASSERT_TRUE(client.readReply(reply)) << frame;
+        EXPECT_EQ(reply.type, "err") << frame;
+        EXPECT_EQ(reply.code, "bad_request") << frame;
+        EXPECT_EQ(reply.id, 0) << frame;
+    }
+
+    // A mistyped run field keeps the (valid) request id.
+    ASSERT_TRUE(writeFrame(client.fd(), "{\"type\":\"run\",\"id\":4,"
+                                        "\"workload\":7,\"key\":\"k\"}"));
+    ASSERT_TRUE(client.readReply(reply));
+    EXPECT_EQ(reply.code, "bad_request");
+    EXPECT_EQ(reply.id, 4);
+
+    // The daemon and the connection both survived.
+    ASSERT_TRUE(client.sendPing(12));
+    ASSERT_TRUE(client.readReply(reply));
+    EXPECT_EQ(reply.type, "pong");
+    EXPECT_EQ(reply.id, 12);
+}
+
 // --------------------------------------------------------------------
 // Daemon: the determinism contract
 // --------------------------------------------------------------------

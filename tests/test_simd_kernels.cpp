@@ -307,6 +307,59 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
     }
 }
 
+TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
+{
+    // Every qubit pair in both orders (bit 0 in the group, bit 0 as
+    // either pair's bra bit, both bits above the lanes), every
+    // permutation, with and without pre-ops and depolarizing, plus a
+    // Super1q on every qubit: the vector stream kernels must reproduce
+    // the scalar reference bit for bit.
+    const size_t n = 5;
+    std::vector<DmOp> ops;
+    uint64_t seed = 1;
+    for (uint32_t a = 0; a < n; ++a)
+        for (uint32_t b = 0; b < n; ++b) {
+            if (a == b)
+                continue;
+            for (const PairPerm perm : {PairPerm::None, PairPerm::CX,
+                                        PairPerm::CZ, PairPerm::Swap}) {
+                DmOp op;
+                op.kind = DmOpKind::Pair2q;
+                op.perm = perm;
+                op.q0 = a;
+                op.q1 = b;
+                op.pre0 = seed % 2 == 0;
+                op.pre1 = seed % 3 != 0;
+                op.s0 = superop::then(superop::conjugation(randomU2(seed)),
+                                      superop::amplitudeDamping(0.1));
+                op.s1 = superop::conjugation(randomU2(seed + 7));
+                op.depol = seed % 4 == 0 ? 0.0 : 0.05;
+                ops.push_back(op);
+                ++seed;
+            }
+        }
+    for (uint32_t q = 0; q < n; ++q) {
+        DmOp op;
+        op.q0 = q;
+        op.s0 = superop::then(superop::conjugation(randomU2(50 + q)),
+                              superop::thermalRelaxation(100, 80, 30));
+        ops.push_back(op);
+    }
+    DensityMatrix ref(n), vec(n);
+    ref.setPureState(randomState(n, 3));
+    vec.setPureState(randomState(n, 3));
+    {
+        SimdModeGuard off(0);
+        ref.execute(ops);
+    }
+    vec.execute(ops);
+    ASSERT_EQ(ref.data().size(), vec.data().size());
+    EXPECT_EQ(std::memcmp(ref.data().data(), vec.data().data(),
+                          ref.data().size() * sizeof(cd)),
+              0);
+    EXPECT_NEAR(vec.trace(), 1.0, 1e-12);
+}
+
 TEST(SimdKernels, BlockedScheduleBitIdenticalAndActive)
 {
     // 16q > kBlockQubits: the schedule must contain blocked segments
