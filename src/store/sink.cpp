@@ -60,8 +60,12 @@ BinarySweepSink::storedOutcome(const SweepCell &cell) const
 
 void
 BinarySweepSink::write(const SweepCell &cell, const SweepRow &row,
-                       bool)
+                       bool executed)
 {
+    // A carried row was read from this log; appending it again would
+    // only grow the log and cost an fsync per resume pass.
+    if (!executed)
+        return;
     storefmt::validateRowFields("BinarySweepSink", row);
     const std::string line =
         storefmt::checksummedCellLine(storefmt::serializeCellPayload(

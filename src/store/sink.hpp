@@ -5,11 +5,12 @@
  *
  * BinarySweepSink is the drop-in replacement for JsonSweepSink on the
  * hot path: contains()/storedRow() resolve against the SweepStore
- * index, write() appends one O(row) group-committed record instead of
- * rewriting the whole file, and the resume / quarantine /
- * retry_failed contracts carry over unchanged (same reserved-field
- * rejection, same "sink.write" fault probe per write, same
- * healthy-supersedes-marker rule). `store export` on the resulting
+ * index, write() appends one O(row) group-committed record per executed
+ * cell (carried rows are already in the log) instead of rewriting the
+ * whole file, and the resume / quarantine / retry_failed contracts
+ * carry over unchanged (same reserved-field rejection, same
+ * "sink.write" fault probe per append, same healthy-supersedes-marker
+ * rule). `store export` on the resulting
  * file reproduces a JsonSweepSink run's cell lines byte-identically.
  *
  * makeSweepSink() picks the format: an existing file keeps whatever

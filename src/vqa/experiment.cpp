@@ -288,10 +288,9 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
 
     EstimationConfig config = regime.estimationConfig();
     // Cache storage is hoisted to the session (share_cache) or kept in
-    // the engine's private LRU otherwise; either way the knobs below
+    // the engine's private cache otherwise; either way the knobs below
     // come from the spec, not the regime.
     config.cache_capacity = spec_.share_cache ? 0 : spec_.cache_capacity;
-    config.compile_cache_capacity = spec_.compile_cache_capacity;
     config.weighted_shots = spec_.weighted_shots;
     config.parallel = spec_.parallel;
     config.async_groups = spec_.async_groups;

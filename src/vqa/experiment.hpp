@@ -169,14 +169,11 @@ struct ExperimentSpec
 
     /**
      * Entries in the session-level shared energy cache (share_cache)
-     * or in each engine's private LRU (share_cache == false; 0 then
+     * or in each engine's private cache (share_cache == false; 0 then
      * disables caching, preserving fresh-Monte-Carlo-sample semantics
      * for repeated evaluations).
      */
     size_t cache_capacity = 4096;
-
-    /** Per-engine compiled-circuit memo capacity (0 disables). */
-    size_t compile_cache_capacity = 256;
 
     /** Weighted (VarSaw-style) shot allocation across QWC groups. */
     bool weighted_shots = true;

@@ -502,7 +502,6 @@ SweepSpec::cells() const
         experiment.regimes = regimes;
         experiment.genetic = genetic;
         experiment.cache_capacity = cache_capacity;
-        experiment.compile_cache_capacity = compile_cache_capacity;
         experiment.weighted_shots = weighted_shots;
         experiment.parallel = parallel;
         experiment.async_groups = async_groups;

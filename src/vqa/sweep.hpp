@@ -389,7 +389,6 @@ struct SweepSpec
 
     // Session knobs forwarded into every cell's ExperimentSpec.
     size_t cache_capacity = 4096;
-    size_t compile_cache_capacity = 256;
     bool weighted_shots = true;
     bool parallel = true;
     bool async_groups = true;

@@ -454,6 +454,24 @@ TEST(CompiledCircuit, EngineMemoizesCompiledCircuits)
     EXPECT_EQ(uncached.compileCacheHits(), 0u);
 }
 
+TEST(CompiledCircuit, EngineCompileMemoEvictsLeastRecent)
+{
+    // Capacity 1: compiling B evicts A, so A, B, A is three misses.
+    const auto ham = isingHamiltonian(4, 1.0);
+    const Circuit a = randomUnitaryCircuit(4, 20, 3);
+    const Circuit b = randomUnitaryCircuit(4, 20, 4);
+
+    EstimationConfig config;
+    config.backend = sim::BackendKind::Statevector;
+    config.compile_cache_capacity = 1;
+    EstimationEngine engine(ham, config);
+    engine.energy(a);
+    engine.energy(b);
+    engine.energy(a);
+    EXPECT_EQ(engine.compileCacheMisses(), 3u);
+    EXPECT_EQ(engine.compileCacheHits(), 0u);
+}
+
 TEST(CompiledCircuit, GeneralPermutationOnDensityMatrixIsInPlaceExact)
 {
     // A CX cascade compiles to a General-class Gf2Perm; the density
@@ -477,8 +495,10 @@ TEST(CompiledCircuit, GeneralPermutationOnDensityMatrixIsInPlaceExact)
 
 TEST(CompiledCircuit, NoisyDensityMatrixEngineSkipsCompilation)
 {
-    // Gate noise forces the gate-by-gate path; the engine must not
-    // fill the compile memo with streams nothing executes.
+    // Under gate noise the density matrix compiles its own noisy
+    // superoperator stream from the gate list (compileNoisyStream); the
+    // engine must not fill the compile memo with streams nothing
+    // executes.
     const auto ham = isingHamiltonian(3, 1.0);
     const EstimationConfig config =
         EstimationConfig::densityMatrix(sim::NoiseModel::nisq());

@@ -1,7 +1,7 @@
 /**
  * @file
- * The experiment service daemon (src/serve/): the SharedCompileCache
- * memo, wire-level request validation, request coalescing pinned to
+ * The experiment service daemon (src/serve/): the ContentLru memo
+ * behind its server-resident caches, wire-level request validation, request coalescing pinned to
  * exactly one evaluation, the determinism contract (daemon result
  * bytes == local in-process bytes), admission control (quota / busy /
  * draining), the client-disconnect cancellation seam, graceful drain —
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ansatz/ansatz.hpp"
@@ -139,35 +140,73 @@ localReferenceLine(const serve::Workload &wl, const SweepCell &cell)
 } // namespace
 
 // --------------------------------------------------------------------
-// SharedCompileCache
+// ContentLru: the memo type behind SharedEnergyCache and
+// SharedCompileCache (and the engine's private instances)
 // --------------------------------------------------------------------
 
 namespace {
 
-std::shared_ptr<const CompiledCircuit>
-compiledDummy(int qubits)
+/** A distinct value per @p tag: equal tags give equal vectors, while
+ *  compiled circuits compare by identity (every call is a new entry). */
+template <typename V>
+V
+lruValue(int tag);
+
+template <>
+std::vector<double>
+lruValue<std::vector<double>>(int tag)
 {
-    const Circuit ansatz = fcheAnsatz(qubits, 1);
+    return {static_cast<double>(tag), -0.5 * tag};
+}
+
+template <>
+std::shared_ptr<const CompiledCircuit>
+lruValue<std::shared_ptr<const CompiledCircuit>>(int tag)
+{
+    const Circuit ansatz = fcheAnsatz(2 + tag % 3, 1);
     const Circuit bound =
-        ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.0));
+        ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.1 * tag));
     return std::make_shared<const CompiledCircuit>(bound);
 }
 
+template <typename V>
+class ContentLruTest : public ::testing::Test
+{
+};
+
+struct LruValueNames
+{
+    template <typename V>
+    static std::string GetName(int)
+    {
+        return std::is_same_v<V, std::vector<double>> ? "Energy"
+                                                      : "Compiled";
+    }
+};
+
+// The value types of SharedEnergyCache and SharedCompileCache.
+using LruValueTypes =
+    ::testing::Types<std::vector<double>,
+                     std::shared_ptr<const CompiledCircuit>>;
+
 } // namespace
 
-TEST(SharedCompileCache, RejectsZeroCapacity)
+TYPED_TEST_SUITE(ContentLruTest, LruValueTypes, LruValueNames);
+
+TYPED_TEST(ContentLruTest, RejectsZeroCapacity)
 {
-    EXPECT_THROW(SharedCompileCache(0), std::invalid_argument);
+    EXPECT_THROW(ContentLru<TypeParam>(0), std::invalid_argument);
 }
 
-TEST(SharedCompileCache, CountsHitsAndMissesAndEvictsLru)
+TYPED_TEST(ContentLruTest, CountsHitsAndMissesAndEvictsLru)
 {
-    SharedCompileCache cache(2);
-    const auto a = compiledDummy(2);
-    const auto b = compiledDummy(3);
-    const auto c = compiledDummy(4);
+    ContentLru<TypeParam> cache(2);
+    EXPECT_EQ(cache.capacity(), 2u);
+    const auto a = lruValue<TypeParam>(1);
+    const auto b = lruValue<TypeParam>(2);
+    const auto c = lruValue<TypeParam>(3);
 
-    EXPECT_EQ(cache.find(1), nullptr);
+    EXPECT_FALSE(cache.find(1).has_value());
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.insert(1, a), a);
     EXPECT_EQ(cache.insert(2, b), b);
@@ -178,28 +217,86 @@ TEST(SharedCompileCache, CountsHitsAndMissesAndEvictsLru)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.insert(3, c), c);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.find(2), nullptr);
+    EXPECT_FALSE(cache.find(2).has_value());
     EXPECT_EQ(cache.find(1), a);
     EXPECT_EQ(cache.find(3), c);
     EXPECT_EQ(cache.hits(), 3u);
     EXPECT_EQ(cache.misses(), 2u);
+}
+
+TYPED_TEST(ContentLruTest, ClearKeepsCounters)
+{
+    ContentLru<TypeParam> cache(4);
+    cache.insert(7, lruValue<TypeParam>(7));
+    EXPECT_TRUE(cache.find(7).has_value());
+    EXPECT_FALSE(cache.find(8).has_value());
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 3u); // counters survive clear()
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_FALSE(cache.find(7).has_value());
+    EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(SharedCompileCache, FirstWriterWinsOnRacingInserts)
+TYPED_TEST(ContentLruTest, FirstWriterWinsOnRacingInserts)
 {
-    // Two engines compiling the same circuit concurrently both call
-    // insert; everyone must end up executing the canonical entry.
-    SharedCompileCache cache(4);
-    const auto first = compiledDummy(2);
-    const auto second = compiledDummy(2);
+    // Two engines computing the same entry concurrently both call
+    // insert; everyone must end up holding the canonical entry.
+    ContentLru<TypeParam> cache(4);
+    const auto first = lruValue<TypeParam>(1);
+    const auto second = lruValue<TypeParam>(2);
     ASSERT_NE(first, second);
     EXPECT_EQ(cache.insert(42, first), first);
     EXPECT_EQ(cache.insert(42, second), first);
     EXPECT_EQ(cache.find(42), first);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TYPED_TEST(ContentLruTest, ConcurrentFindInsertKeepsOneResidentValue)
+{
+    // 8 threads race find/insert on overlapping keys, each offering its
+    // own value on a miss. With room for every key nothing is evicted,
+    // so every insert of a key must hand back the first writer's value.
+    constexpr int kThreads = 8;
+    constexpr int kKeys = 16;
+    constexpr int kRounds = 2000;
+    std::vector<std::vector<TypeParam>> offers(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        for (int k = 0; k < kKeys; ++k)
+            offers[t].push_back(lruValue<TypeParam>(100 * (t + 1) + k));
+
+    for (const size_t capacity : {size_t{kKeys}, size_t{4}}) {
+        ContentLru<TypeParam> cache(capacity);
+        std::vector<std::vector<std::vector<TypeParam>>> returned(
+            kThreads, std::vector<std::vector<TypeParam>>(kKeys));
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                for (int r = 0; r < kRounds; ++r) {
+                    // Threads walk the key ring from different offsets.
+                    const int k = (r + 3 * t) % kKeys;
+                    if (!cache.find(static_cast<uint64_t>(k)))
+                        returned[t][k].push_back(cache.insert(
+                            static_cast<uint64_t>(k), offers[t][k]));
+                }
+            });
+        for (auto &th : threads)
+            th.join();
+
+        EXPECT_EQ(cache.hits() + cache.misses(),
+                  static_cast<size_t>(kThreads * kRounds));
+        EXPECT_LE(cache.size(), cache.capacity());
+        if (capacity < kKeys)
+            continue; // evictions let later writers in; counts only
+        for (int k = 0; k < kKeys; ++k) {
+            const auto resident = cache.find(static_cast<uint64_t>(k));
+            ASSERT_TRUE(resident.has_value()) << "key " << k;
+            for (int t = 0; t < kThreads; ++t)
+                for (const TypeParam &v : returned[t][k])
+                    EXPECT_EQ(v, *resident) << "key " << k;
+        }
+    }
 }
 
 // --------------------------------------------------------------------
@@ -440,7 +537,7 @@ TEST(Daemon, CoalescesConcurrentIdenticalCellsIntoOneEvaluation)
     serve::Daemon daemon(config, synthCatalog());
 
     const serve::Workload wl = synthWorkload("default");
-    const SweepCell &blocked = wl.spec.cells()[0]; // qubits==4 blocks
+    const SweepCell blocked = wl.spec.cells()[0]; // qubits==4 blocks
 
     serve::DaemonClient a =
         serve::DaemonClient::connectUnix(config.socket_path);

@@ -450,6 +450,15 @@ TEST(SimdKernels, SweepPlanMemoHitsOnRepeatHamiltonian)
     psi.expectationBatch(ham);
     EXPECT_EQ(detail::sweepPlanCacheMisses(), m0 + 1);
     EXPECT_EQ(detail::sweepPlanCacheHits(), h0 + 2);
+
+    // The memo holds 64 plans: 64 more distinct Hamiltonians push this
+    // one out, and its next batch misses again.
+    for (int k = 1; k <= 64; ++k)
+        detail::sweepChunkPlan(heisenbergHamiltonian(9, 1.234375 + k));
+    EXPECT_EQ(detail::sweepPlanCacheMisses(), m0 + 65);
+    psi.expectationBatch(ham);
+    EXPECT_EQ(detail::sweepPlanCacheMisses(), m0 + 66);
+    EXPECT_EQ(detail::sweepPlanCacheHits(), h0 + 2);
 }
 
 TEST(SimdKernels, IsaTagTracksDispatchMode)

@@ -722,10 +722,18 @@ TEST(BinaryStoreSink, ResumeExecutesOnlyMissingCells)
     again.cell_workers = 1;
     {
         auto sink = store::makeSweepSink(path, "test-sweep");
+        auto *binary =
+            dynamic_cast<store::BinarySweepSink *>(sink.get());
+        ASSERT_NE(binary, nullptr);
+        const uint64_t appends_before =
+            binary->underlyingStore().stats().appends;
         const SweepReport third =
             SweepRunner(std::move(again)).run(pointCellFn, sink.get());
         EXPECT_EQ(third.executed, 0u);
         EXPECT_EQ(third.skipped, 2u);
+        // Carried rows are already in the log: nothing is re-appended.
+        EXPECT_EQ(binary->underlyingStore().stats().appends,
+                  appends_before);
         for (size_t i = 0; i < 2; ++i)
             EXPECT_TRUE(third.rows[i] == second.rows[i]);
     }
