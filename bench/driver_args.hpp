@@ -12,11 +12,12 @@
  *                  parallel_bench does
  *   --cells <path> resumable sweep cell store: cells whose key is
  *                  already in the file are skipped on rerun. The
- *                  format is auto-detected (store/sink.hpp): an
- *                  existing file keeps its format, a fresh ".json"
- *                  path gets the human-readable JsonSweepSink,
- *                  anything else the append-only binary SweepStore
- *   --store <path> alias for --cells (the binary-store-era name)
+ *                  path holds an append-only binary SweepStore
+ *                  (store/sink.hpp), created if missing; any other
+ *                  existing file is refused untouched — convert a
+ *                  JSON store with `vqastore import` first, and read
+ *                  one back out with `vqastore export`
+ *   --store <path> alias for --cells
  *   --retry-failed re-execute cells the store holds quarantine
  *                  markers for (implies FaultPolicy::isolate)
  *   --cell-timeout <ms>  per-cell soft deadline in milliseconds
@@ -35,13 +36,18 @@
  *                  the seed). Aborts are gated to worker processes,
  *                  so this is a no-op without --isolation process —
  *                  the crash-matrix CI job drives it
- *   --merge <out> <in...>  merge N sweep cell stores into <out> and
- *                  exit (quarantine markers propagate, byte conflicts
- *                  fail loudly)
+ *   --merge <out> <in...>  merge N binary sweep cell stores into
+ *                  <out> and exit (quarantine markers propagate, byte
+ *                  conflicts fail loudly)
  *   --daemon <socket>  ship the sweep's cells to a running vqad
  *                  daemon (src/serve/) over its Unix socket instead of
  *                  evaluating locally; results are verified and stored
  *                  exactly as a local run would store them
+ *
+ * Numeric values are strict (common/cli_number.hpp): --workers takes
+ * 0..4096, --inject-abort 0..1000, the timeouts 0..1e9 ms; a
+ * negative, garbage, trailing-junk or out-of-range value prints the
+ * usage and exits 2, like an unknown flag.
  *
  * The JSON writer itself lives in src/common/json.hpp (the sweep
  * layer's cell store shares it); this header re-exports it under the
@@ -58,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hpp"
 #include "common/json.hpp"
 #include "vqa/fault.hpp"
 
@@ -89,6 +96,7 @@ struct DriverArgs
     {
         DriverArgs args;
         for (int i = 1; i < argc; ++i) {
+            bool ok = true;
             if (std::strcmp(argv[i], "--full") == 0) {
                 args.full = true;
             } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -104,7 +112,8 @@ struct DriverArgs
                 args.retry_failed = true;
             } else if (std::strcmp(argv[i], "--cell-timeout") == 0 &&
                        i + 1 < argc) {
-                args.cell_timeout_ms = std::atof(argv[++i]);
+                ok = parseNumber(argv[++i], args.cell_timeout_ms, 0.0,
+                                 1e9);
             } else if (std::strcmp(argv[i], "--isolation") == 0 &&
                        i + 1 < argc) {
                 args.isolation = argv[++i];
@@ -117,16 +126,15 @@ struct DriverArgs
                 }
             } else if (std::strcmp(argv[i], "--workers") == 0 &&
                        i + 1 < argc) {
-                args.workers =
-                    static_cast<size_t>(std::atol(argv[++i]));
+                ok = parseNumber(argv[++i], args.workers, 0, 4096);
             } else if (std::strcmp(argv[i], "--cell-hard-timeout") ==
                            0 &&
                        i + 1 < argc) {
-                args.cell_hard_timeout_ms = std::atof(argv[++i]);
+                ok = parseNumber(argv[++i], args.cell_hard_timeout_ms,
+                                 0.0, 1e9);
             } else if (std::strcmp(argv[i], "--inject-abort") == 0 &&
                        i + 1 < argc) {
-                args.inject_abort =
-                    static_cast<size_t>(std::atol(argv[++i]));
+                ok = parseNumber(argv[++i], args.inject_abort, 0, 1000);
             } else if (std::strcmp(argv[i], "--daemon") == 0 &&
                        i + 1 < argc) {
                 args.daemon = argv[++i];
@@ -137,6 +145,9 @@ struct DriverArgs
                 while (++i < argc)
                     args.merge_inputs.push_back(argv[i]);
             } else {
+                ok = false;
+            }
+            if (!ok) {
                 std::cerr << "usage: " << argv[0]
                           << " [--full|--smoke] [--out <json>] "
                              "[--cells|--store <path>] "

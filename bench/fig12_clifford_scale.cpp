@@ -14,9 +14,9 @@
  * Default sweep is laptop-sized (16..48 qubits, reduced GA budget);
  * pass --full for the paper's 16..100 range with a larger budget, or
  * --smoke for the CI-sized single case. --out <json> emits the rows
- * machine-readably; --cells <json> keeps a resumable cell store
- * (rerunning skips cells already present); --daemon <socket> ships the
- * cells to a running vqad instead of evaluating locally.
+ * machine-readably; --cells <store> keeps a resumable binary cell
+ * store (rerunning skips cells already present); --daemon <socket>
+ * ships the cells to a running vqad instead of evaluating locally.
  *
  * The sweep itself — grid, GA budgets, regimes, seeds, cell protocol —
  * lives in serve::fig12Workload (src/serve/workloads.cpp) so this
@@ -57,10 +57,8 @@ main(int argc, char **argv)
 
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
-        cells = store::makeSweepSink(args.cells, "fig12_clifford_scale");
+        cells = std::make_unique<store::BinarySweepSink>(
+            args.cells, "fig12_clifford_scale");
 
     SweepReport report;
     if (!args.daemon.empty()) {

@@ -6,7 +6,7 @@
  * 8-qubit molecular surrogates to keep runtime laptop-friendly — pass
  * --full for 12-qubit Hamiltonians with the paper's term counts, or
  * --smoke for the CI-sized subset; --out <json> emits the rows;
- * --cells <json> keeps a resumable cell store).
+ * --cells <store> keeps a resumable binary cell store).
  *
  * One SweepSpec: Ising/Heisenberg over the paper's coupling axis plus
  * the molecule benchmark cells, each cell the canonical three-regime
@@ -139,10 +139,8 @@ main(int argc, char **argv)
     SweepRunner runner(std::move(sweep));
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
-        cells = store::makeSweepSink(args.cells, "fig13_density_matrix_gamma");
+        cells = std::make_unique<store::BinarySweepSink>(
+            args.cells, "fig13_density_matrix_gamma");
     const SweepReport report =
         runner.run(cell_fn, cells.get());
 

@@ -9,9 +9,9 @@
  * ideal energies share one ideal-tableau engine — and all cells share
  * the sweep-level energy cache. --smoke shrinks to the 16-qubit cases,
  * --full extends the sweep to 32 qubits with a larger GA budget;
- * --out <json> emits the rows; --cells <json> keeps a resumable cell
- * store; --daemon <socket> ships the cells to a running vqad instead
- * of evaluating locally.
+ * --out <json> emits the rows; --cells <store> keeps a resumable
+ * binary cell store; --daemon <socket> ships the cells to a running
+ * vqad instead of evaluating locally.
  *
  * The sweep itself — grid, GA budgets, regimes, seeds, cell protocol —
  * lives in serve::fig14Workload (src/serve/workloads.cpp) so this
@@ -49,10 +49,8 @@ main(int argc, char **argv)
 
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
-        cells = store::makeSweepSink(args.cells, "fig14_blocked_vs_fche");
+        cells = std::make_unique<store::BinarySweepSink>(
+            args.cells, "fig14_blocked_vs_fche");
 
     SweepReport report;
     if (!args.daemon.empty()) {

@@ -4,7 +4,7 @@
  * VQE converge to lower energies under both NISQ and pQEC execution
  * (paper: 12-qubit J=1 Ising and Heisenberg; default here is 8 qubits
  * for runtime, --full for 12, --smoke for a CI-sized 6; --out <json>
- * emits the rows; --cells <json> keeps a resumable cell store).
+ * emits the rows; --cells <store> keeps a resumable binary cell store).
  *
  * One SweepSpec over the two families; within each cell the plain and
  * mitigated optimizers share the regime engines — and the sweep-level
@@ -110,10 +110,8 @@ main(int argc, char **argv)
     SweepRunner runner(std::move(sweep));
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
-        cells = store::makeSweepSink(args.cells, "fig15_varsaw");
+        cells = std::make_unique<store::BinarySweepSink>(
+            args.cells, "fig15_varsaw");
     const SweepReport report =
         runner.run(cell_fn, cells.get());
 

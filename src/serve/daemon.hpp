@@ -65,8 +65,8 @@
  *            {"type":"pong","id":N}
  *
  * where <line> is the checksummed store line
- * (storefmt::checksummedCellLine) — exactly the bytes a local
- * JsonSweepSink would hold for the cell.
+ * (storefmt::checksummedCellLine) — exactly the bytes a local store
+ * holds for the cell.
  */
 
 #ifndef EFTVQA_SERVE_DAEMON_HPP

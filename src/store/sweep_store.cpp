@@ -431,7 +431,9 @@ SweepStore::loadExisting()
     if (!h.valid)
         throw std::runtime_error(
             "SweepStore: '" + path_ +
-            "' is not a binary sweep store (bad magic or header)");
+            "' is not a binary sweep store (bad magic or header) — "
+            "convert a JSON store with `vqastore import <store.json> "
+            "<store.bin>`");
     version_ = h.version;
     if (version_ != kVersion && mode_ == Mode::append)
         throw StoreVersionError(path_, version_, kVersion);
@@ -544,8 +546,20 @@ SweepStore::tryLoadIndexSegment(const std::string &file)
         e.offset = getU64(file, pos + 8);
         e.length = getU32(file, pos + 16);
         e.marker = file[pos + 20] != 0;
-        if (e.offset + e.length > io)
-            return false; // entry points past the data log
+        if (e.offset < kHeaderBytesV2 + 12 ||
+            e.offset + e.length + 8 > io)
+            return false; // entry points outside the data log
+        // Re-verify the record the entry names: a record that rotted
+        // after the clean close sends the open down the full scan,
+        // which skips and counts it, so its cell re-executes instead
+        // of being served. The bytes are already in memory.
+        if (getU32(file, e.offset - 12) != kRecordMagic ||
+            getU32(file, e.offset - 8) != e.length ||
+            getU64(file, e.offset + e.length) !=
+                recordCrc(detail::kRecordTypeCell,
+                          std::string_view(file.data() + e.offset,
+                                           e.length)))
+            return false;
         if (index.emplace(key, e).second)
             order.push_back(key);
     }
@@ -655,7 +669,9 @@ SweepStore::indexInsert(uint64_t key, const Entry &entry)
         return;
     }
     // A healthy row always supersedes; a marker only supersedes
-    // another marker (the merge/retry_failed rule).
+    // another marker. Unlike storefmt::mergeStoreLines, the latest
+    // marker wins: retry_failed appends a fresh marker when a retried
+    // cell fails again, and that outcome is the one to report.
     if (!entry.marker || it->second.marker)
         it->second = entry;
 }
@@ -1098,7 +1114,7 @@ SweepStore::stats() const
 }
 
 // ------------------------------------------------------------------
-// Migration, detection, conversion
+// Migration and conversion
 // ------------------------------------------------------------------
 
 UpgradeReport
@@ -1134,49 +1150,6 @@ upgradeStore(const std::string &path)
     return report;
 }
 
-bool
-isBinaryStorePath(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    char magic[sizeof(kFileMagic)];
-    if (!is.read(magic, sizeof(magic)))
-        return false;
-    return std::memcmp(magic, kFileMagic, sizeof(kFileMagic)) == 0;
-}
-
-uint32_t
-binaryStoreVersion(const std::string &path)
-{
-    bool found = false;
-    const std::string file = readWholeFile(path, found);
-    if (!found)
-        return 0;
-    const Header h = decodeHeader(file);
-    return h.valid ? h.version : 0;
-}
-
-storefmt::StoreScan
-readAnyStore(const std::string &path)
-{
-    if (!isBinaryStorePath(path))
-        return storefmt::readStoreCells(path);
-    storefmt::StoreScan scan;
-    SweepStore store(path, SweepStore::Mode::read_only);
-    scan.found = true;
-    scan.sweep_name = store.sweepName();
-    scan.cells = store.cells();
-    const StoreStats stats = store.stats();
-    for (uint64_t i = 0; i < stats.corrupt_records; ++i)
-        scan.corrupt.push_back("(unreadable binary store record)");
-    if (stats.torn_bytes > 0)
-        scan.corrupt.push_back("(torn binary store tail: " +
-                               std::to_string(stats.torn_bytes) +
-                               " bytes)");
-    return scan;
-}
-
 ConvertReport
 exportStoreToJson(const std::string &store_path,
                   const std::string &json_path)
@@ -1185,8 +1158,7 @@ exportStoreToJson(const std::string &store_path,
     std::vector<std::string> lines;
     for (const storefmt::StoreCell &cell : store.cells())
         lines.push_back(cell.line);
-    storefmt::writeJsonStore(json_path, store.sweepName(), lines,
-                             nullptr, nullptr);
+    storefmt::writeJsonStore(json_path, store.sweepName(), lines);
     ConvertReport report;
     report.cells = lines.size();
     return report;
@@ -1208,20 +1180,11 @@ importJsonToStore(const std::string &json_path,
     for (const storefmt::StoreCell &cell : scan.cells) {
         if (store.containsKey(cell.key)) {
             const std::string have = store.lineFor(cell.key);
-            const bool have_marker = store.markerFor(cell.key);
-            if (have == cell.line) {
+            if (storefmt::mergeStoreLines(
+                    cell.key, {have, store.markerFor(cell.key), store_path},
+                    {cell.line, cell.marker, json_path}) !=
+                storefmt::LineMerge::replace) {
                 ++report.skipped;
-                continue;
-            }
-            if (!have_marker && !cell.marker)
-                throw StoreMergeConflict(cell.key, store_path,
-                                         json_path);
-            if (!have_marker && cell.marker) {
-                ++report.skipped; // healthy already supersedes
-                continue;
-            }
-            if (have_marker && cell.marker && !(cell.line < have)) {
-                ++report.skipped; // order-independent marker winner
                 continue;
             }
         }

@@ -1,12 +1,10 @@
 /**
  * @file
- * The append-only binary sweep store engine.
- *
- * JsonSweepSink (vqa/sweep.hpp) rewrites its whole file per completed
- * cell — atomic and human-readable, but O(cells^2) bytes and a
- * single-writer bottleneck. SweepStore is the structural fix the
- * ROADMAP names (exemplar shape: the Solaris configd transactional
- * object store + its offline schema migrator):
+ * The append-only binary sweep store engine — the one format a sweep
+ * resumes from, merges into or is inspected in. A completed cell
+ * costs O(row) bytes instead of a whole-file rewrite (exemplar shape:
+ * the Solaris configd transactional object store + its offline schema
+ * migrator):
  *
  *  - **Append-only data log.** One record per store line, written
  *    once, never rewritten. A completed cell costs O(row) bytes.
@@ -36,10 +34,11 @@
  *    place (atomic rewrite) so old stores stay resumable as the
  *    record format evolves.
  *
- * Cell payloads are the *exact* checksummed JSON store lines of
- * vqa/storefmt — storefmt stays the single parse/serialize authority,
- * and exporting a binary store back to a JsonSweepSink file
- * (store/sink.hpp) reproduces the JSON sink's bytes identically.
+ * Cell payloads are the *exact* checksummed store lines of
+ * vqa/storefmt — storefmt stays the single parse/serialize authority.
+ * JSON is an interchange form only: exportStoreToJson() writes those
+ * lines verbatim into a human-readable file and importJsonToStore()
+ * reads them back (`vqastore export` / `vqastore import`).
  */
 
 #ifndef EFTVQA_STORE_SWEEP_STORE_HPP
@@ -98,6 +97,13 @@ struct StoreStats
     uint64_t index_loads = 0;    ///< opens served by the index segment
     uint64_t corrupt_records = 0;
     uint64_t torn_bytes = 0; ///< torn-tail bytes truncated/ignored
+
+    /** Records the open scan rejected: corrupt ones plus a torn tail
+     *  counted as one. */
+    uint64_t rejected() const
+    {
+        return corrupt_records + (torn_bytes > 0 ? 1 : 0);
+    }
 };
 
 /** Process-wide counters across every SweepStore (kstat-style: cheap
@@ -142,7 +148,9 @@ class SweepStore
      *  @p sweep_name seeds a fresh store's name record; an existing
      *  store keeps its stored name. Throws StoreVersionError when an
      *  old-version store is opened for append, std::runtime_error on
-     *  a missing read-only store or a non-store file. */
+     *  a missing read-only store or a non-store file (a JSON store
+     *  included: the message names `vqastore import`); a non-store
+     *  file is never modified. */
     SweepStore(std::string path, Mode mode,
                std::string sweep_name = "sweep");
     ~SweepStore();
@@ -168,7 +176,7 @@ class SweepStore
      *  rows superseding markers). Throws if absent. */
     std::string lineFor(const std::string &key) const;
     /** Every indexed cell (latest per key, first-seen order), parsed
-     *  through storefmt like a JSON store scan. */
+     *  through storefmt. */
     std::vector<storefmt::StoreCell> cells() const;
 
     /** Append one checksummed store line (the exact bytes
@@ -271,23 +279,6 @@ struct UpgradeReport
  *  current-version store is a verified no-op. */
 UpgradeReport upgradeStore(const std::string &path);
 
-/** True when the file at @p path exists and starts with the binary
- *  store magic (a JSON store starts with '{'). */
-bool isBinaryStorePath(const std::string &path);
-
-/** On-disk version of the binary store at @p path, 0 when the file is
- *  missing or not a binary store. */
-uint32_t binaryStoreVersion(const std::string &path);
-
-/** Read any store — binary (any openable version, read-only scan) or
- *  JsonSweepSink JSON — into the storefmt scan shape. Binary stores
- *  report one latest entry per key in first-seen order, with the
- *  healthy-supersedes-marker rule already applied by the store index
- *  (log-order duplicates are not surfaced — re-applying the JSON
- *  supersede rules is a harmless no-op); unreadable records are
- *  counted in scan.corrupt. */
-storefmt::StoreScan readAnyStore(const std::string &path);
-
 /** What a format conversion did. */
 struct ConvertReport
 {
@@ -295,17 +286,17 @@ struct ConvertReport
     size_t skipped = 0; ///< duplicate lines already present
 };
 
-/** Export a binary store to a JsonSweepSink-format JSON file: the
- *  cell lines are byte-identical to what a JsonSweepSink run storing
- *  the same rows would have written (no summary block, latest entry
- *  per key in first-seen order). */
+/** Export a binary store to a JSON file (storefmt::writeJsonStore):
+ *  the store's exact cell lines, latest entry per key in first-seen
+ *  order. */
 ConvertReport exportStoreToJson(const std::string &store_path,
                                 const std::string &json_path);
 
 /** Import a JSON store's verified lines into the binary store at
- *  @p store_path (created if missing, merged-by-key if present:
- *  byte-identical repeats skip, healthy supersedes marker, healthy
- *  byte conflicts throw StoreMergeConflict). */
+ *  @p store_path (created if missing, merged by key if present under
+ *  storefmt::mergeStoreLines: byte-identical repeats skip, healthy
+ *  supersedes marker, healthy byte conflicts throw
+ *  StoreMergeConflict). */
 ConvertReport importJsonToStore(const std::string &json_path,
                                 const std::string &store_path);
 

@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "vqa/fault.hpp"
 
 namespace eftvqa {
 namespace storefmt {
@@ -287,8 +286,8 @@ readStoreCells(const std::string &path)
                 line.back() == '\r' || line.back() == '\t'))
             line.pop_back();
         if (line.find("\"key\"") == std::string::npos) {
-            // Header or summary line; remember the sweep name so a
-            // merged store keeps it.
+            // Header (or an older file's summary) line; remember the
+            // sweep name so the imported store keeps it.
             const size_t name_at = line.find("\"sweep\": \"");
             if (name_at != std::string::npos && scan.sweep_name.empty()) {
                 const size_t begin = name_at + 10;
@@ -326,14 +325,35 @@ validateRowFields(const std::string &who, const SweepRow &row)
                 "' is reserved for cell metadata");
 }
 
+LineMerge
+mergeStoreLines(const std::string &key, const MergeSide &have,
+                const MergeSide &incoming)
+{
+    if (have.line == incoming.line)
+        return LineMerge::duplicate;
+    if (have.marker != incoming.marker)
+        // A healthy row heals the quarantine marker — the merge-level
+        // mirror of retry_failed.
+        return have.marker ? LineMerge::replace : LineMerge::keep;
+    if (have.marker)
+        // Two different markers (say, crash on one machine, timeout
+        // on another): the lexicographically smaller line wins, so
+        // the winner is independent of input order.
+        return incoming.line < have.line ? LineMerge::replace
+                                         : LineMerge::keep;
+    // Same key, different healthy row bytes: the stores disagree
+    // about a result. Fail loudly, never pick.
+    throw StoreMergeConflict(key, std::string(have.source),
+                             std::string(incoming.source));
+}
+
 void
 writeJsonStore(const std::string &path, const std::string &sweep_name,
-               const std::vector<std::string> &lines,
-               const SweepReport *summary, const char *crash_probe)
+               const std::vector<std::string> &lines)
 {
     // Full rewrite into a sibling file, then an atomic rename: a
-    // crash at any point leaves either the previous snapshot or the
-    // new one, never a torn file.
+    // crash at any point leaves either the previous file or the new
+    // one, never a torn file.
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::trunc);
@@ -350,28 +370,12 @@ writeJsonStore(const std::string &path, const std::string &sweep_name,
             // covers the exact payload bytes on disk.
             json.rawValue(line);
         json.endArray();
-        if (summary) {
-            json.beginObject("summary");
-            json.field("cells", summary->cells);
-            json.field("executed", summary->executed);
-            json.field("skipped", summary->skipped);
-            json.field("failed", summary->failed);
-            json.field("retries", summary->retries);
-            json.field("cache_hits", summary->cache_hits);
-            json.field("cache_misses", summary->cache_misses);
-            json.endObject();
-        }
         json.endObject();
         os.flush();
         if (!os)
             throw std::runtime_error("writeJsonStore: write to " + tmp +
                                      " failed");
     }
-    if (crash_probe)
-        // The crash window the recovery tests target: the tmp
-        // snapshot is complete on disk but the store has not been
-        // renamed over yet.
-        faultProbe(crash_probe);
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         throw std::runtime_error("writeJsonStore: cannot rename " +
                                  tmp + " to " + path);

@@ -1,19 +1,20 @@
 /**
  * @file
- * The sweep-store serialization format, factored out of JsonSweepSink.
+ * The sweep-store line format.
  *
  * One cell, one line: a flat JSON object carrying "key"/"label" plus
  * the row fields (doubles in round-trip form) and a trailing "crc" —
- * the FNV-1a hash of the exact serialized payload before it. Three
- * consumers share these helpers:
+ * the FNV-1a hash of the exact serialized payload before it. Every
+ * consumer agrees on these bytes through these helpers:
  *
- *  - JsonSweepSink (vqa/sweep.cpp) writes and resumes store files;
- *  - ProcessPool (vqa/procpool.cpp) ships the same checksummed line
- *    as the "payload" of its ok-frames, so a result crosses the
- *    process boundary with its integrity check attached;
- *  - mergeSweepStores() combines partial stores line-for-line, which
- *    only stays byte-exact because every consumer agrees on these
- *    exact bytes.
+ *  - store::SweepStore keeps each line as one append-only record;
+ *  - ProcessPool and the vqad daemon ship the line as the "payload"
+ *    of their ok-frames, integrity check attached;
+ *  - mergeSweepStores() and importJsonToStore() combine stores
+ *    line-for-line under one supersede rule (mergeStoreLines);
+ *  - `vqastore export` / `import` move the lines to and from a JSON
+ *    file (writeJsonStore / readStoreCells), the only JSON form a
+ *    store takes.
  *
  * parseCellPayload() doubles as the parser for the supervisor/worker
  * wire frames: frames are flat JSON objects of the same shape (the
@@ -77,7 +78,7 @@ struct StoreCell
     bool marker = false; ///< quarantine marker rather than results
 };
 
-/** Everything readStoreCells() found in one store file. */
+/** Everything readStoreCells() found in one JSON store file. */
 struct StoreScan
 {
     bool found = false; ///< the file existed and was readable
@@ -87,10 +88,10 @@ struct StoreScan
 };
 
 /**
- * Scan a JsonSweepSink store file: every line that verifies lands in
- * cells (in file order), every integrity failure in corrupt. The
- * summary block is ignored. Never throws on content — a missing file
- * just reports found == false.
+ * Scan a JSON store file (a `vqastore export`): every line that
+ * verifies lands in cells (in file order), every integrity failure in
+ * corrupt. Never throws on content — a missing file just reports
+ * found == false.
  */
 StoreScan readStoreCells(const std::string &path);
 
@@ -99,21 +100,39 @@ StoreScan readStoreCells(const std::string &path);
  *  sink shares this check so the reserved set cannot drift. */
 void validateRowFields(const std::string &who, const SweepRow &row);
 
+/** Which line a store keeps when two lines share a cell key. */
+enum class LineMerge
+{
+    duplicate, ///< byte-identical: nothing to do
+    keep,      ///< the line already held wins
+    replace,   ///< the incoming line wins
+};
+
+/** One side of mergeStoreLines: a stored line, whether it is a
+ *  quarantine marker, and the store it came from. */
+struct MergeSide
+{
+    std::string_view line;
+    bool marker = false;
+    std::string_view source; ///< named in a StoreMergeConflict
+};
+
+/** The supersede rule of mergeSweepStores() and importJsonToStore():
+ *  identical bytes are a duplicate, a healthy row beats a marker, the
+ *  smaller of two markers wins (order-independent), and two different
+ *  healthy rows throw StoreMergeConflict naming @p key and sources. */
+LineMerge mergeStoreLines(const std::string &key, const MergeSide &have,
+                          const MergeSide &incoming);
+
 /**
- * Write a JSON store file: `{"sweep": name, "cells": [lines...],
- * summary?}` atomically (tmp + rename). @p lines are emitted
- * verbatim — they must be checksummedCellLine() bytes, which is what
- * keeps JsonSweepSink, mergeSweepStores and the binary store's
- * `store export` byte-identical. @p summary is optional (merge and
- * export omit it for idempotence). @p crash_probe, when non-null, is
- * a fault-probe point fired between the complete tmp write and the
- * rename (JsonSweepSink's "sink.write" crash window).
+ * Write a JSON store file `{"sweep": name, "cells": [lines...]}`
+ * atomically (tmp + rename). @p lines are emitted verbatim — they
+ * must be checksummedCellLine() bytes, which is what keeps a
+ * `vqastore export` byte-identical to the store it came from.
  */
 void writeJsonStore(const std::string &path,
                     const std::string &sweep_name,
-                    const std::vector<std::string> &lines,
-                    const SweepReport *summary,
-                    const char *crash_probe);
+                    const std::vector<std::string> &lines);
 
 /** fsync the directory containing @p path, so a rename just made into
  *  it is durable across power loss (the rename itself lives in the

@@ -8,8 +8,9 @@
  * heartbeats), remote error category preservation, the equivalence
  * contract (process-isolated sweeps produce byte-identical rows and
  * stores), the flagship crash-quarantine-heal cycle under injected
- * abort/delay faults, and the merge properties: order independence,
- * idempotence, quarantine-marker propagation, loud byte conflicts.
+ * abort/delay faults, and the merge properties over binary stores:
+ * order independence, idempotence, quarantine-marker propagation,
+ * loud byte conflicts.
  *
  * Suite names carry "ProcPool" / "StoreMerge" so the CI crash-matrix
  * job can select them with `ctest -R "ProcPool|StoreMerge"`.
@@ -32,6 +33,8 @@
 
 #include "ansatz/ansatz.hpp"
 #include "common/frame.hpp"
+#include "store/sink.hpp"
+#include "store/sweep_store.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/procpool.hpp"
 #include "vqa/storefmt.hpp"
@@ -53,21 +56,19 @@ tempPath(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
     std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
     return path;
 }
 
-/** The store's cell lines (the checksummed per-cell objects) — the
- *  byte-identity comparisons exclude the summary block. */
+/** The store's cell lines (latest entry per key, first-seen order) —
+ *  the exact checksummed bytes the byte-identity comparisons pin. */
 std::vector<std::string>
 cellLines(const std::string &path)
 {
-    std::ifstream is(path);
     std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(is, line))
-        if (line.find("\"key\"") != std::string::npos)
-            lines.push_back(line);
+    for (const storefmt::StoreCell &cell :
+         store::SweepStore(path, store::SweepStore::Mode::read_only)
+             .cells())
+        lines.push_back(cell.line);
     return lines;
 }
 
@@ -426,13 +427,13 @@ TEST(ProcPoolSweep, SpecValidationNamesTheField)
 
 TEST(ProcPoolSweep, ProcessRowsAndStoreMatchInProcess)
 {
-    const std::string in_path = tempPath("proc_equiv_in.json");
-    const std::string proc_path = tempPath("proc_equiv_proc.json");
+    const std::string in_path = tempPath("proc_equiv_in.bin");
+    const std::string proc_path = tempPath("proc_equiv_proc.bin");
 
     SweepSpec in_spec = procSweep({0.25, 1.0});
     in_spec.fault_policy = FaultPolicy::isolate;
     const SweepReport in_report = [&] {
-        JsonSweepSink sink(in_path, "proc-sweep");
+        store::BinarySweepSink sink(in_path, "proc-sweep");
         return SweepRunner(in_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(in_report.failed, 0u);
@@ -443,7 +444,7 @@ TEST(ProcPoolSweep, ProcessRowsAndStoreMatchInProcess)
     proc_spec.isolation = IsolationMode::process;
     proc_spec.process_workers = 1;
     const SweepReport proc_report = [&] {
-        JsonSweepSink sink(proc_path, "proc-sweep");
+        store::BinarySweepSink sink(proc_path, "proc-sweep");
         return SweepRunner(proc_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(proc_report.failed, 0u);
@@ -477,16 +478,16 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
     const std::vector<double> couplings = {0.25, 0.5, 0.75, 1.0};
 
     // Reference: fault-free, in-process.
-    const std::string ref_path = tempPath("flagship_ref.json");
+    const std::string ref_path = tempPath("flagship_ref.bin");
     SweepSpec ref_spec = procSweep(couplings);
     ref_spec.fault_policy = FaultPolicy::isolate;
     const SweepReport reference = [&] {
-        JsonSweepSink sink(ref_path, "proc-sweep");
+        store::BinarySweepSink sink(ref_path, "proc-sweep");
         return SweepRunner(ref_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(reference.failed, 0u);
 
-    const std::string path = tempPath("flagship.json");
+    const std::string path = tempPath("flagship.bin");
     const std::string suplog = path + ".suplog";
     auto proc_spec = [&] {
         SweepSpec sweep = procSweep(couplings);
@@ -508,7 +509,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
                      {{"cell.start", FaultKind::Abort, 1.0, 0, 1, 0.0},
                       {"engine.energy", FaultKind::Throw, 1.0, 1, 1,
                        0.0}});
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(proc_spec()).run(pureCellFn, &sink);
         injector.disarm();
@@ -547,7 +548,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
         SweepSpec sweep = proc_spec();
         sweep.retry_failed = true;
         sweep.cell_hard_timeout_ms = 400.0;
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(sweep).run(pureCellFn, &sink);
         injector.disarm();
@@ -575,7 +576,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
     {
         SweepSpec sweep = proc_spec();
         sweep.retry_failed = true;
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(sweep).run(pureCellFn, &sink);
         EXPECT_EQ(report.executed, 2u);
@@ -620,15 +621,29 @@ markerLine(const std::string &key, ErrorCategory category)
         key, "cell/" + key, quarantineRowFor(outcome)));
 }
 
+/** A fresh binary store at @p path holding @p lines in order. A line
+ *  that does not verify (the torn-line cases) lands as a raw cell
+ *  record after the rest — the shape rot leaves behind — so the
+ *  store's open scan skips and counts it. */
 void
 writeStore(const std::string &path, const std::string &name,
            const std::vector<std::string> &lines)
 {
-    std::ofstream os(path, std::ios::trunc);
-    os << "{\n\"sweep\": \"" << name << "\",\n\"cells\": [\n";
-    for (size_t i = 0; i < lines.size(); ++i)
-        os << lines[i] << (i + 1 < lines.size() ? "," : "") << "\n";
-    os << "]\n}\n";
+    std::remove(path.c_str());
+    std::string raw;
+    {
+        store::SweepStore st(path, store::SweepStore::Mode::append, name);
+        for (const std::string &line : lines) {
+            std::string key, label;
+            SweepRow row;
+            if (storefmt::parseChecksummedLine(line, key, label, row))
+                st.appendLine(line);
+            else
+                raw += store::detail::encodeRecord(
+                    store::detail::kRecordTypeCell, line);
+        }
+    }
+    std::ofstream(path, std::ios::binary | std::ios::app) << raw;
 }
 
 std::string
@@ -643,12 +658,12 @@ fileBytes(const std::string &path)
 
 TEST(StoreMergeProps, OrderIndependentAndIdempotent)
 {
-    const std::string a = tempPath("merge_a.json");
-    const std::string b = tempPath("merge_b.json");
-    const std::string full = tempPath("merge_full.json");
-    const std::string out1 = tempPath("merge_out1.json");
-    const std::string out2 = tempPath("merge_out2.json");
-    const std::string out3 = tempPath("merge_out3.json");
+    const std::string a = tempPath("merge_a.bin");
+    const std::string b = tempPath("merge_b.bin");
+    const std::string full = tempPath("merge_full.bin");
+    const std::string out1 = tempPath("merge_out1.bin");
+    const std::string out2 = tempPath("merge_out2.bin");
+    const std::string out3 = tempPath("merge_out3.bin");
 
     const std::string l1 = healthyLine("0x01", 0.25, -1.5);
     const std::string l2 = healthyLine("0x02", 0.50, -2.5);
@@ -697,10 +712,10 @@ TEST(StoreMergeProps, OrderIndependentAndIdempotent)
 
 TEST(StoreMergeProps, MarkersPropagateUntilHealed)
 {
-    const std::string a = tempPath("merge_qa.json");
-    const std::string b = tempPath("merge_qb.json");
-    const std::string c = tempPath("merge_qc.json");
-    const std::string out = tempPath("merge_qout.json");
+    const std::string a = tempPath("merge_qa.bin");
+    const std::string b = tempPath("merge_qb.bin");
+    const std::string c = tempPath("merge_qc.bin");
+    const std::string out = tempPath("merge_qout.bin");
 
     // Machine A quarantined 0x01 and 0x02; machine B healed 0x01 and
     // also quarantined 0x02 (differently); machine C knows nothing.
@@ -730,7 +745,7 @@ TEST(StoreMergeProps, MarkersPropagateUntilHealed)
     }
 
     // A later heal pass merges cleanly over the markers.
-    const std::string heal = tempPath("merge_qheal.json");
+    const std::string heal = tempPath("merge_qheal.bin");
     writeStore(heal, "merge-sweep", {healthyLine("0x02", 0.5, -2.5)});
     const StoreMergeReport healed = mergeSweepStores({out, heal}, out);
     EXPECT_EQ(healed.quarantined, 0u);
@@ -744,9 +759,9 @@ TEST(StoreMergeProps, MarkersPropagateUntilHealed)
 
 TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
 {
-    const std::string a = tempPath("merge_ca.json");
-    const std::string b = tempPath("merge_cb.json");
-    const std::string out = tempPath("merge_cout.json");
+    const std::string a = tempPath("merge_ca.bin");
+    const std::string b = tempPath("merge_cb.bin");
+    const std::string out = tempPath("merge_cout.bin");
     writeStore(a, "merge-sweep", {healthyLine("0xbad", 0.25, -1.5)});
     writeStore(b, "merge-sweep", {healthyLine("0xbad", 0.25, -9.9)});
     try {
@@ -774,7 +789,7 @@ TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
     EXPECT_EQ(fileBytes(out).find("0xcc"), std::string::npos);
 
     EXPECT_THROW(mergeSweepStores({}, out), std::invalid_argument);
-    EXPECT_THROW(mergeSweepStores({tempPath("merge_missing.json")}, out),
+    EXPECT_THROW(mergeSweepStores({tempPath("merge_missing.bin")}, out),
                  std::invalid_argument);
 
     for (const auto &p : {a, b, out})
@@ -783,8 +798,8 @@ TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
 
 TEST(StoreMergeProps, CliPrintsSummaryAndReturnsExitCode)
 {
-    const std::string a = tempPath("merge_cli_a.json");
-    const std::string out = tempPath("merge_cli_out.json");
+    const std::string a = tempPath("merge_cli_a.bin");
+    const std::string out = tempPath("merge_cli_out.bin");
     writeStore(a, "merge-sweep",
                {healthyLine("0x01", 0.25, -1.5),
                 markerLine("0x02", ErrorCategory::crash)});
@@ -806,9 +821,9 @@ TEST(StoreMergeProps, ReportsPerInputDamageCounts)
     // A farmed merge must name the machine that shipped damage, not
     // bury it in the aggregate: input a is clean, input b carries a
     // quarantine marker and a torn line.
-    const std::string a = tempPath("merge_pi_a.json");
-    const std::string b = tempPath("merge_pi_b.json");
-    const std::string out = tempPath("merge_pi_out.json");
+    const std::string a = tempPath("merge_pi_a.bin");
+    const std::string b = tempPath("merge_pi_b.bin");
+    const std::string out = tempPath("merge_pi_out.bin");
     writeStore(a, "merge-sweep",
                {healthyLine("0x01", 0.25, -1.5),
                 healthyLine("0x02", 0.50, -2.5)});

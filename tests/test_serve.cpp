@@ -30,6 +30,7 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/workloads.hpp"
+#include "store/sink.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/storefmt.hpp"
 #include "vqa/sweep.hpp"
@@ -760,7 +761,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
 
     const serve::Workload wl = synthWorkload("default");
     const std::vector<SweepCell> cells = wl.spec.cells();
-    const std::string store = ::testing::TempDir() + "serve_sweep.json";
+    const std::string store = ::testing::TempDir() + "serve_sweep.bin";
     std::remove(store.c_str());
 
     serve::DaemonRunOptions options;
@@ -770,7 +771,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     {
         serve::DaemonClient client =
             serve::DaemonClient::connectUnix(config.socket_path);
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store, "synth");
         const SweepReport report =
             serve::runSweepViaDaemon(client, cells, options, &sink);
         EXPECT_EQ(report.cells, 3u);
@@ -783,7 +784,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     // Stored rows equal local in-process rows (sink-level determinism:
     // the store holds the daemon's verified lines).
     {
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store, "synth");
         EXPECT_EQ(sink.loadedCells(), 3u);
         for (const SweepCell &cell : cells) {
             ASSERT_TRUE(sink.contains(cell));
@@ -798,7 +799,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     {
         serve::DaemonClient client =
             serve::DaemonClient::connectUnix(config.socket_path);
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store, "synth");
         const SweepReport report =
             serve::runSweepViaDaemon(client, cells, options, &sink);
         EXPECT_EQ(report.executed, 0u);
@@ -824,5 +825,4 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     }
 
     std::remove(store.c_str());
-    std::remove((store + ".corrupt").c_str());
 }

@@ -5,9 +5,11 @@
  * fast path vs the full-scan fallback (stale index, torn tail,
  * mid-file rot), online compaction and its crash window, the v1 -> v2
  * migration contract, byte-identity of a binary run's exported lines
- * against a JsonSweepSink run, the resume / quarantine / retry_failed
- * contracts through BinarySweepSink, and the JSON <-> binary
- * conversion round trip against the checked-in fixture.
+ * against the storefmt line format, the resume / quarantine /
+ * retry_failed contracts through BinarySweepSink, the refusal of a
+ * JSON file at a sink or merge path (untouched, naming `vqastore
+ * import`), and the JSON <-> binary conversion round trip against the
+ * checked-in fixture.
  */
 
 #include <gtest/gtest.h>
@@ -86,13 +88,25 @@ appendBytes(const std::string &path, const std::string &bytes)
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/** The cell lines of a JSON store file, in order (summary skipped). */
+/** The cell lines of a JSON store file (an export), in order. */
 std::vector<std::string>
 jsonStoreLines(const std::string &path)
 {
     std::vector<std::string> lines;
     for (const storefmt::StoreCell &cell :
          storefmt::readStoreCells(path).cells)
+        lines.push_back(cell.line);
+    return lines;
+}
+
+/** The cell lines of a binary store (latest per key, first-seen
+ *  order). */
+std::vector<std::string>
+storeLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    for (const storefmt::StoreCell &cell :
+         SweepStore(path, SweepStore::Mode::read_only).cells())
         lines.push_back(cell.line);
     return lines;
 }
@@ -353,6 +367,30 @@ TEST(BinaryStore, MidFileRotResyncsOnTheRecordMagic)
     std::remove(path.c_str());
 }
 
+TEST(BinaryStore, RotUnderACleanIndexFallsBackToTheScan)
+{
+    // A cleanly closed store whose index segment still names a record
+    // that rotted afterwards: the open must not serve that record.
+    const std::string name = "rot-store";
+    const std::string path = tempPath("store_rot_indexed.bin");
+    {
+        SweepStore st(path, SweepStore::Mode::append, name);
+        st.appendLine(cellLine(0x11, "a", 1.0));
+        st.appendLine(cellLine(0x22, "b", 2.0));
+    }
+    std::string bytes = readFile(path);
+    const size_t cell1_payload = 64 + (12 + name.size() + 8) + 12;
+    bytes[cell1_payload + 5] ^= 0x01;
+    writeFile(path, bytes);
+
+    SweepStore ro(path, SweepStore::Mode::read_only);
+    EXPECT_EQ(ro.stats().index_loads, 0u);
+    EXPECT_EQ(ro.stats().corrupt_records, 1u);
+    EXPECT_FALSE(ro.containsKey(storefmt::hex64(0x11)));
+    EXPECT_EQ(ro.lineFor(storefmt::hex64(0x22)), cellLine(0x22, "b", 2.0));
+    std::remove(path.c_str());
+}
+
 // --------------------------------------------------------------------
 // Supersede rules, group commit, compaction
 // --------------------------------------------------------------------
@@ -555,7 +593,8 @@ TEST(BinaryStore, V1StoresRequireAnExplicitUpgrade)
     const std::vector<std::string> lines = {
         cellLine(0x11, "a", 1.0), markerLine(0x22, "b")};
     store::detail::writeV1Store(path, "legacy", lines);
-    EXPECT_EQ(store::binaryStoreVersion(path), 1u);
+    EXPECT_EQ(SweepStore(path, SweepStore::Mode::read_only).version(),
+              1u);
 
     // Appending to the old format is refused with a message that
     // names the path, both versions and the way out.
@@ -584,7 +623,8 @@ TEST(BinaryStore, V1StoresRequireAnExplicitUpgrade)
     EXPECT_EQ(up.from_version, 1u);
     EXPECT_EQ(up.to_version, SweepStore::kVersion);
     EXPECT_EQ(up.cells, 2u);
-    EXPECT_EQ(store::binaryStoreVersion(path), SweepStore::kVersion);
+    EXPECT_EQ(SweepStore(path, SweepStore::Mode::read_only).version(),
+              SweepStore::kVersion);
 
     // The upgraded store resumes: same lines, appendable again.
     {
@@ -637,7 +677,6 @@ TEST(BinaryStore, V1CorruptNameRecordDoesNotEatTheFirstCell)
 
 TEST(BinaryStoreSink, ExportedRunMatchesTheJsonSinkByteForByte)
 {
-    const std::string json_path = tempPath("sink_parity.json");
     const std::string bin_path = tempPath("sink_parity.bin");
     const std::string export_path = tempPath("sink_parity_export.json");
 
@@ -654,32 +693,32 @@ TEST(BinaryStoreSink, ExportedRunMatchesTheJsonSinkByteForByte)
         return crafted;
     };
 
-    {
-        JsonSweepSink sink(json_path, "test-sweep");
-        SweepRunner(smallSweep()).run(craftedFn, &sink);
-    }
+    SweepRunner runner(smallSweep());
+    SweepReport report;
     {
         store::BinarySweepSink sink(bin_path, "test-sweep");
-        SweepRunner(smallSweep()).run(craftedFn, &sink);
+        report = runner.run(craftedFn, &sink);
     }
     store::exportStoreToJson(bin_path, export_path);
 
-    const auto json_lines = jsonStoreLines(json_path);
+    // The exported lines are exactly the storefmt line of each
+    // reported row — the bytes the retired JSON sink wrote per cell.
     const auto exported_lines = jsonStoreLines(export_path);
-    ASSERT_EQ(json_lines.size(), 1u);
+    ASSERT_EQ(report.rows.size(), 1u);
     ASSERT_EQ(exported_lines.size(), 1u);
-    EXPECT_EQ(json_lines[0], exported_lines[0]);
+    const SweepCell &cell = runner.cells()[0];
+    EXPECT_EQ(exported_lines[0],
+              storefmt::checksummedCellLine(storefmt::serializeCellPayload(
+                  cell.keyString(), cell.label, report.rows[0])));
     EXPECT_EQ(storefmt::readStoreCells(export_path).sweep_name,
               "test-sweep");
 
     // And the binary sink reloads the row bit-identically.
     store::BinarySweepSink reloaded(bin_path, "test-sweep");
     EXPECT_EQ(reloaded.loadedCells(), 1u);
-    SweepRunner runner(smallSweep());
-    ASSERT_TRUE(reloaded.contains(runner.cells()[0]));
-    EXPECT_TRUE(reloaded.storedRow(runner.cells()[0]) == crafted);
+    ASSERT_TRUE(reloaded.contains(cell));
+    EXPECT_TRUE(reloaded.storedRow(cell) == crafted);
 
-    std::remove(json_path.c_str());
     std::remove(bin_path.c_str());
     std::remove(export_path.c_str());
 }
@@ -692,25 +731,19 @@ TEST(BinaryStoreSink, ResumeExecutesOnlyMissingCells)
     subset.cell_workers = 1;
     SweepReport first;
     {
-        auto sink = store::makeSweepSink(path, "test-sweep");
-        first = SweepRunner(std::move(subset))
-                    .run(pointCellFn, sink.get());
+        store::BinarySweepSink sink(path, "test-sweep");
+        first = SweepRunner(std::move(subset)).run(pointCellFn, &sink);
         EXPECT_EQ(first.executed, 1u);
     }
-    EXPECT_TRUE(store::isBinaryStorePath(path));
 
     SweepSpec full = smallSweep();
     full.sizes = {4, 5};
     full.cell_workers = 1;
     SweepReport second;
     {
-        auto sink = store::makeSweepSink(path, "test-sweep");
-        auto *binary =
-            dynamic_cast<store::BinarySweepSink *>(sink.get());
-        ASSERT_NE(binary, nullptr);
-        EXPECT_EQ(binary->loadedCells(), 1u);
-        second = SweepRunner(std::move(full))
-                     .run(pointCellFn, sink.get());
+        store::BinarySweepSink sink(path, "test-sweep");
+        EXPECT_EQ(sink.loadedCells(), 1u);
+        second = SweepRunner(std::move(full)).run(pointCellFn, &sink);
         EXPECT_EQ(second.executed, 1u);
         EXPECT_EQ(second.skipped, 1u);
         ASSERT_EQ(second.rows.size(), 2u);
@@ -721,18 +754,15 @@ TEST(BinaryStoreSink, ResumeExecutesOnlyMissingCells)
     again.sizes = {4, 5};
     again.cell_workers = 1;
     {
-        auto sink = store::makeSweepSink(path, "test-sweep");
-        auto *binary =
-            dynamic_cast<store::BinarySweepSink *>(sink.get());
-        ASSERT_NE(binary, nullptr);
+        store::BinarySweepSink sink(path, "test-sweep");
         const uint64_t appends_before =
-            binary->underlyingStore().stats().appends;
+            sink.underlyingStore().stats().appends;
         const SweepReport third =
-            SweepRunner(std::move(again)).run(pointCellFn, sink.get());
+            SweepRunner(std::move(again)).run(pointCellFn, &sink);
         EXPECT_EQ(third.executed, 0u);
         EXPECT_EQ(third.skipped, 2u);
         // Carried rows are already in the log: nothing is re-appended.
-        EXPECT_EQ(binary->underlyingStore().stats().appends,
+        EXPECT_EQ(sink.underlyingStore().stats().appends,
                   appends_before);
         for (size_t i = 0; i < 2; ++i)
             EXPECT_TRUE(third.rows[i] == second.rows[i]);
@@ -800,42 +830,44 @@ TEST(BinaryStoreSink, ReservedFieldNamesAreRejected)
     std::remove(path.c_str());
 }
 
-TEST(BinaryStoreSink, MakeSweepSinkHonorsMagicThenExtension)
+TEST(BinaryStoreSink, JsonFileIsRefusedUntouchedNamingVqastoreImport)
 {
-    // Fresh ".json" -> the human-readable sink.
-    const std::string json_path = tempPath("pick_fresh.json");
-    {
-        auto sink = store::makeSweepSink(json_path, "test-sweep");
-        SweepRunner(smallSweep()).run(pointCellFn, sink.get());
-    }
-    EXPECT_FALSE(store::isBinaryStorePath(json_path));
-    EXPECT_EQ(readFile(json_path)[0], '{');
+    // A JSON store (say, a `vqastore export`) at a sink path is never
+    // resumed from, rewritten or truncated: the open fails with the
+    // conversion command, and the file keeps its bytes.
+    const std::string json_path = tempPath("refuse_store.json");
+    storefmt::writeJsonStore(json_path, "test-sweep",
+                             {cellLine(0x11, "a", 1.0)});
+    const std::string before = readFile(json_path);
+    ASSERT_EQ(before[0], '{');
 
-    // Fresh anything-else -> the binary store.
-    const std::string bin_path = tempPath("pick_fresh.store");
-    {
-        auto sink = store::makeSweepSink(bin_path, "test-sweep");
-        SweepRunner(smallSweep()).run(pointCellFn, sink.get());
-    }
-    EXPECT_TRUE(store::isBinaryStorePath(bin_path));
-
-    // An existing file keeps its format regardless of its name: a
-    // binary store behind a ".json" path stays binary on resume.
-    const std::string disguised = tempPath("pick_disguised.json");
-    {
-        SweepStore st(disguised, SweepStore::Mode::append, "test-sweep");
-        st.appendLine(cellLine(0x11, "a", 1.0));
-    }
-    {
-        auto sink = store::makeSweepSink(disguised, "test-sweep");
-        EXPECT_NE(dynamic_cast<store::BinarySweepSink *>(sink.get()),
-                  nullptr);
-    }
-    EXPECT_TRUE(store::isBinaryStorePath(disguised));
+    const auto expectRefused = [&](const auto &open) {
+        try {
+            open();
+            ADD_FAILURE() << "expected the JSON file to be refused";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("not a binary sweep store (bad magic or "
+                                "header)"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("vqastore import"), std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(readFile(json_path), before);
+    };
+    expectRefused(
+        [&] { store::BinarySweepSink sink(json_path, "test-sweep"); });
+    expectRefused([&] {
+        SweepStore ro(json_path, SweepStore::Mode::read_only);
+    });
+    // The same refusal reaches `vqastore merge` / `--merge`.
+    const std::string out = tempPath("refuse_merge_out.bin");
+    expectRefused([&] { mergeSweepStores({json_path}, out); });
+    std::ifstream merged(out);
+    EXPECT_FALSE(merged.good());
 
     std::remove(json_path.c_str());
-    std::remove(bin_path.c_str());
-    std::remove(disguised.c_str());
 }
 
 // --------------------------------------------------------------------
@@ -848,17 +880,17 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
     // at the binary sink's "sink.write" window lose at most the
     // in-flight row — every committed record survives, each rerun
     // resumes from the survivors, and the healed store's cells equal
-    // the fault-free JSON reference byte for byte.
+    // a fault-free binary run's byte for byte.
     InjectorGuard guard;
     const std::string path = tempPath("store_fault_matrix.bin");
-    const std::string ref_path = tempPath("store_fault_matrix_ref.json");
+    const std::string ref_path = tempPath("store_fault_matrix_ref.bin");
 
     SweepSpec ref_spec = smallSweep();
     ref_spec.couplings = {0.25, 0.5, 0.75, 1.0};
     ref_spec.cell_workers = 1;
     SweepReport reference;
     {
-        JsonSweepSink ref_sink(ref_path, "test-sweep");
+        store::BinarySweepSink ref_sink(ref_path, "test-sweep");
         reference = SweepRunner(ref_spec).run(pointCellFn, &ref_sink);
     }
 
@@ -873,8 +905,8 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
     // runs clean and completes the store.
     for (int pass = 0; pass < 3; ++pass) {
         try {
-            auto sink = store::makeSweepSink(path, "test-sweep");
-            SweepRunner(ref_spec).run(pointCellFn, sink.get());
+            store::BinarySweepSink sink(path, "test-sweep");
+            SweepRunner(ref_spec).run(pointCellFn, &sink);
             break;
         } catch (const InjectedFault &) {
             // Resume from the committed records on the next pass.
@@ -882,9 +914,9 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
     }
     FaultInjector::instance().disarm();
 
-    auto sink = store::makeSweepSink(path, "test-sweep");
+    store::BinarySweepSink sink(path, "test-sweep");
     const SweepReport healed =
-        SweepRunner(ref_spec).run(pointCellFn, sink.get());
+        SweepRunner(ref_spec).run(pointCellFn, &sink);
     EXPECT_EQ(healed.executed, 0u);
     EXPECT_EQ(healed.skipped, 4u);
     EXPECT_EQ(healed.failed, 0u);
@@ -895,11 +927,8 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
     // Byte identity against the reference store. Which writes crashed
     // varies by seed, so the binary store's first-seen order may
     // differ from the serial order — compare as sorted line sets.
-    std::vector<std::string> ref_lines = jsonStoreLines(ref_path);
-    std::vector<std::string> bin_lines;
-    for (const storefmt::StoreCell &cell :
-         SweepStore(path, SweepStore::Mode::read_only).cells())
-        bin_lines.push_back(cell.line);
+    std::vector<std::string> ref_lines = storeLines(ref_path);
+    std::vector<std::string> bin_lines = storeLines(path);
     std::sort(ref_lines.begin(), ref_lines.end());
     std::sort(bin_lines.begin(), bin_lines.end());
     EXPECT_EQ(bin_lines, ref_lines);
@@ -909,7 +938,7 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
 }
 
 // --------------------------------------------------------------------
-// Conversion and merge across formats
+// JSON export / import, and binary-only merge
 // --------------------------------------------------------------------
 
 TEST(StoreConvert, FixtureRoundTripsByteIdentically)
@@ -952,22 +981,25 @@ TEST(StoreConvert, FixtureRoundTripsByteIdentically)
 
 TEST(StoreConvert, MergeGoesBinaryWhenAnyInputIsBinary)
 {
+    // Every merge input is a binary store and the output always is.
+    const std::string in_a = tempPath("merge_in_a.bin");
+    const std::string in_b = tempPath("merge_in_b.bin");
     const std::string json_in = tempPath("merge_in.json");
-    const std::string bin_in = tempPath("merge_in.bin");
-    const std::string out_a = tempPath("merge_out_a.store");
-    const std::string out_b = tempPath("merge_out_b.store");
-    const std::string out_json = tempPath("merge_out.json");
+    const std::string out_a = tempPath("merge_out_a.bin");
+    const std::string out_b = tempPath("merge_out_b.bin");
 
-    storefmt::writeJsonStore(json_in, "merged",
-                             {cellLine(0x11, "a", 1.0)}, nullptr,
-                             nullptr);
     {
-        SweepStore st(bin_in, SweepStore::Mode::append, "merged");
+        SweepStore st(in_a, SweepStore::Mode::append, "merged");
+        st.appendLine(cellLine(0x11, "a", 1.0));
+    }
+    {
+        SweepStore st(in_b, SweepStore::Mode::append, "merged");
         st.appendLine(cellLine(0x22, "b", 2.0));
     }
 
-    mergeSweepStores({json_in, bin_in}, out_a);
-    EXPECT_TRUE(store::isBinaryStorePath(out_a));
+    mergeSweepStores({in_a, in_b}, out_a);
+    EXPECT_EQ(SweepStore(out_a, SweepStore::Mode::read_only).version(),
+              SweepStore::kVersion);
     {
         SweepStore ro(out_a, SweepStore::Mode::read_only);
         EXPECT_EQ(ro.cellCount(), 2u);
@@ -977,21 +1009,29 @@ TEST(StoreConvert, MergeGoesBinaryWhenAnyInputIsBinary)
                   cellLine(0x22, "b", 2.0));
     }
 
-    // Deterministic: the same merge lands the same bytes, and merging
-    // a merge output back in changes nothing.
-    mergeSweepStores({bin_in, json_in}, out_b);
+    // Deterministic: the same merge in any input order lands the same
+    // bytes, and merging a merge output back in changes nothing.
+    mergeSweepStores({in_b, in_a}, out_b);
     EXPECT_EQ(readFile(out_a), readFile(out_b));
-    mergeSweepStores({out_a, json_in, bin_in}, out_b);
+    mergeSweepStores({out_a, in_a, in_b}, out_b);
+    EXPECT_EQ(readFile(out_a), readFile(out_b));
+    mergeSweepStores({out_a, out_a}, out_b);
     EXPECT_EQ(readFile(out_a), readFile(out_b));
 
-    // JSON-only inputs keep the human-readable format.
-    mergeSweepStores({json_in}, out_json);
-    EXPECT_FALSE(store::isBinaryStorePath(out_json));
-    EXPECT_EQ(jsonStoreLines(out_json).size(), 1u);
+    // A JSON input is refused, naming the conversion, and the target
+    // keeps its previous bytes.
+    storefmt::writeJsonStore(json_in, "merged",
+                             {cellLine(0x33, "c", 3.0)});
+    try {
+        mergeSweepStores({in_a, json_in}, out_b);
+        ADD_FAILURE() << "expected the JSON input to be refused";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("vqastore import"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(readFile(out_a), readFile(out_b));
 
-    std::remove(json_in.c_str());
-    std::remove(bin_in.c_str());
-    std::remove(out_a.c_str());
-    std::remove(out_b.c_str());
-    std::remove(out_json.c_str());
+    for (const auto &p : {in_a, in_b, json_in, out_a, out_b})
+        std::remove(p.c_str());
 }

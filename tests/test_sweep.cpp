@@ -4,9 +4,10 @@
  * offending field (including the max_cells guard), grid expansion
  * order and content keys, async-cell determinism against the serial
  * cell order at several OpenMP thread counts, cross-cell cache reuse
- * with pinned hit counters, the JSON cell store's bit-identical
- * round-trip, and the resume contract (rerunning against a partial
- * store re-executes only the missing cells).
+ * with pinned hit counters, the binary cell store's bit-identical
+ * round-trip through BinarySweepSink, and the resume contract
+ * (rerunning against a partial store re-executes only the missing
+ * cells).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -399,12 +401,12 @@ TEST(SweepRunner, ExternalCacheRequiresShareCache)
 }
 
 // --------------------------------------------------------------------
-// JsonSweepSink: round trip and resume
+// BinarySweepSink: round trip and resume
 // --------------------------------------------------------------------
 
-TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
+TEST(SweepSink, StoreRoundTripsRowsBitIdentically)
 {
-    const std::string path = tempPath("sweep_roundtrip.json");
+    const std::string path = tempPath("sweep_roundtrip.bin");
     SweepRunner runner(smallSweep());
 
     SweepRow crafted;
@@ -417,7 +419,7 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
     crafted.set("ok", true);
 
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 0u);
         const SweepReport report = runner.run(
             [&crafted](const SweepCell &, ExperimentSession &) {
@@ -427,7 +429,7 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
         EXPECT_EQ(report.executed, 1u);
     }
 
-    JsonSweepSink reloaded(path, "test-sweep");
+    store::BinarySweepSink reloaded(path, "test-sweep");
     EXPECT_EQ(reloaded.loadedCells(), 1u);
     ASSERT_TRUE(reloaded.contains(runner.cells()[0]));
     const SweepRow stored = reloaded.storedRow(runner.cells()[0]);
@@ -437,14 +439,14 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
 
 TEST(SweepSink, ResumeExecutesOnlyMissingCells)
 {
-    const std::string path = tempPath("sweep_resume.json");
+    const std::string path = tempPath("sweep_resume.bin");
 
     // Pass 1: the n=4 subset fills the store with one cell.
     SweepSpec subset = smallSweep();
     subset.cell_workers = 1;
     SweepReport first;
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         first = SweepRunner(std::move(subset)).run(energiesCellFn, &sink);
         EXPECT_EQ(first.executed, 1u);
         EXPECT_EQ(first.skipped, 0u);
@@ -458,7 +460,7 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
     full.cell_workers = 1;
     SweepReport second;
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 1u);
         second = SweepRunner(std::move(full)).run(energiesCellFn, &sink);
         EXPECT_EQ(second.executed, 1u);
@@ -472,7 +474,7 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
     again.sizes = {4, 5};
     again.cell_workers = 1;
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 2u);
         const SweepReport third =
             SweepRunner(std::move(again)).run(energiesCellFn, &sink);
@@ -486,9 +488,9 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
 
 TEST(SweepSink, ReservedFieldNamesAreRejected)
 {
-    const std::string path = tempPath("sweep_reserved.json");
+    const std::string path = tempPath("sweep_reserved.bin");
     SweepRunner runner(smallSweep());
-    JsonSweepSink sink(path, "test-sweep");
+    store::BinarySweepSink sink(path, "test-sweep");
     EXPECT_THROW(runner.run(
                      [](const SweepCell &, ExperimentSession &) {
                          SweepRow row;

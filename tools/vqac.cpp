@@ -6,21 +6,22 @@
  *   vqac <socket> stats
  *   vqac <socket> list
  *   vqac <socket> run <workload> [--mode smoke|default|full]
- *                 [--cells <store.json>] [--isolate] [--inflight <n>]
+ *                 [--cells <store.bin>] [--isolate] [--inflight <n>]
  *
  * `run` builds the named workload locally (the same builder the daemon
  * uses) to enumerate its cells, then streams them through the daemon
- * with runSweepViaDaemon. With --cells the results land in a normal
- * checksummed sweep store — byte-identical to what a local driver run
- * would write — and an existing store resumes (completed cells are
- * skipped client-side, never re-requested).
+ * with runSweepViaDaemon. With --cells the results land in a binary
+ * sweep store — byte-identical to what a local driver run would
+ * write — and an existing store resumes (completed cells are skipped
+ * client-side, never re-requested). --inflight takes 1..65536;
+ * anything else prints the usage and exits 2.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "common/cli_number.hpp"
 #include "serve/client.hpp"
 #include "serve/workloads.hpp"
 #include "store/sink.hpp"
@@ -37,7 +38,7 @@ usage(const char *argv0)
         << "       " << argv0 << " <socket> list\n"
         << "       " << argv0
         << " <socket> run <workload> [--mode smoke|default|full]\n"
-           "            [--cells <store.json>] [--isolate] "
+           "            [--cells <store.bin>] [--isolate] "
            "[--inflight <n>]\n";
     return 2;
 }
@@ -66,8 +67,9 @@ runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
         } else if (arg == "--isolate") {
             options.isolation = "process";
         } else if (arg == "--inflight" && has_value) {
-            options.max_inflight =
-                static_cast<size_t>(std::atoll(argv[++i]));
+            if (!parseNumber(argv[++i], options.max_inflight, 1,
+                             size_t{1} << 16))
+                return usage(argv[0]);
         } else {
             std::cerr << "vqac: unknown run argument '" << arg << "'\n";
             return 2;
@@ -82,10 +84,8 @@ runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
 
     std::unique_ptr<SweepSink> sink;
     if (!cells_path.empty())
-        // Format auto-detection: existing files keep their format, a
-        // fresh ".json" path gets the JSON sink, anything else the
-        // binary SweepStore.
-        sink = store::makeSweepSink(cells_path, wl.spec.name);
+        sink = std::make_unique<store::BinarySweepSink>(cells_path,
+                                                        wl.spec.name);
 
     const SweepReport report =
         serve::runSweepViaDaemon(client, cells, options, sink.get());

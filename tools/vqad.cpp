@@ -8,15 +8,21 @@
  *
  *   vqad --socket /tmp/vqad.sock [--tcp <port>] [--workers <n>]
  *        [--max-pending <n>] [--quota <n>] [--cell-timeout <ms>]
+ *        [--store <store.bin>]
+ *
+ * Numeric values must be plain in-range numbers (--tcp 0..65535,
+ * --workers 0..4096, --max-pending/--quota 1..2^20, --cell-timeout
+ * 0..1e9 ms); anything else prints the usage and exits 2. --store
+ * must name a binary sweep store (or a fresh path).
  */
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli_number.hpp"
 #include "serve/daemon.hpp"
 
 namespace {
@@ -52,26 +58,31 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
+        // Every numeric flag is strict: a negative, garbage, trailing-
+        // junk or out-of-range value is a usage error, never a cast.
+        bool ok = true;
         if (arg == "--socket" && has_value) {
             config.socket_path = argv[++i];
         } else if (arg == "--tcp" && has_value) {
-            config.tcp_port =
-                static_cast<uint16_t>(std::atoi(argv[++i]));
+            ok = parseNumber(argv[++i], config.tcp_port, 0, 65535);
         } else if (arg == "--workers" && has_value) {
-            config.workers = static_cast<size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(argv[++i], config.workers, 0, 4096);
         } else if (arg == "--max-pending" && has_value) {
-            config.max_pending =
-                static_cast<size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(argv[++i], config.max_pending, 1,
+                             size_t{1} << 20);
         } else if (arg == "--quota" && has_value) {
-            config.per_client_inflight =
-                static_cast<size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(argv[++i], config.per_client_inflight, 1,
+                             size_t{1} << 20);
         } else if (arg == "--cell-timeout" && has_value) {
-            config.cell_timeout_ms = std::atof(argv[++i]);
+            ok = parseNumber(argv[++i], config.cell_timeout_ms, 0.0,
+                             1e9);
         } else if (arg == "--store" && has_value) {
             config.store_path = argv[++i];
         } else {
-            return usage(argv[0]);
+            ok = false;
         }
+        if (!ok)
+            return usage(argv[0]);
     }
     if (config.socket_path.empty())
         return usage(argv[0]);

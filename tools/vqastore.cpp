@@ -8,15 +8,19 @@
  *                                              by key if it exists)
  *   vqastore upgrade <store.bin>               migrate to the current
  *                                              on-disk version
- *   vqastore info <store>                      format, version, cells
+ *   vqastore info <store.bin>                  binary vN, sweep name,
+ *                                              cell counts
  *   vqastore compact <store.bin>               drop superseded markers
  *                                              and duplicate keys
- *   vqastore merge <out> <in>...               mergeSweepStores (any
- *                                              mix of formats)
+ *   vqastore merge <out.bin> <in.bin>...       mergeSweepStores
+ *                                              (binary stores only)
  *
- * The drivers' `--store export/import` language in the ISSUE maps
- * here: one tool owns every offline store operation, the drivers own
- * only running sweeps against a store.
+ * The binary SweepStore is the only format a sweep resumes from,
+ * merges into or is inspected in; export and import are the only
+ * ways a store becomes JSON or comes back from it. Every other
+ * command given a JSON file fails with a message naming `vqastore
+ * import`. One tool owns every offline store operation; the drivers
+ * own only running sweeps against a store.
  */
 
 #include <iostream>
@@ -35,9 +39,9 @@ usage()
         << "usage: vqastore export <store.bin> <store.json>\n"
            "       vqastore import <store.json> <store.bin>\n"
            "       vqastore upgrade <store.bin>\n"
-           "       vqastore info <store>\n"
+           "       vqastore info <store.bin>\n"
            "       vqastore compact <store.bin>\n"
-           "       vqastore merge <out> <in>...\n";
+           "       vqastore merge <out.bin> <in.bin>...\n";
     return 2;
 }
 
@@ -86,29 +90,15 @@ main(int argc, char **argv)
             return 0;
         }
         if (command == "info" && argc == 3) {
-            const std::string path = argv[2];
-            const bool binary = store::isBinaryStorePath(path);
-            const storefmt::StoreScan scan = store::readAnyStore(path);
-            if (!scan.found) {
-                std::cerr << "vqastore: cannot read store '" << path
-                          << "'\n";
-                return 1;
-            }
-            size_t markers = 0;
-            for (const storefmt::StoreCell &cell : scan.cells)
-                markers += cell.marker ? 1 : 0;
-            std::cout << "vqastore: " << path << ": "
-                      << (binary ? "binary v" +
-                                       std::to_string(
-                                           store::binaryStoreVersion(
-                                               path))
-                                 : std::string("json"))
-                      << ", sweep '" << scan.sweep_name << "', "
-                      << scan.cells.size() << " cell(s) ("
-                      << scan.cells.size() - markers << " healthy, "
-                      << markers << " quarantined), "
-                      << scan.corrupt.size() << " corrupt"
-                      << std::endl;
+            const store::SweepStore st(argv[2],
+                                       store::SweepStore::Mode::read_only);
+            const store::StoreStats stats = st.stats();
+            std::cout << "vqastore: " << argv[2] << ": binary v"
+                      << st.version() << ", sweep '" << st.sweepName()
+                      << "', " << stats.cells << " cell(s) ("
+                      << stats.cells - stats.markers << " healthy, "
+                      << stats.markers << " quarantined), "
+                      << stats.rejected() << " corrupt" << std::endl;
             return 0;
         }
         if (command == "compact" && argc == 3) {
