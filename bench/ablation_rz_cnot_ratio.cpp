@@ -19,7 +19,6 @@
 #include "ansatz/ansatz.hpp"
 #include "common/table.hpp"
 #include "driver_args.hpp"
-#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -64,10 +63,8 @@ main(int argc, char **argv)
 
     bench::applyFaultArgs(args, sweep);
     SweepRunner runner(std::move(sweep));
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = std::make_unique<store::BinarySweepSink>(
-            args.cells, "ablation_rz_cnot_ratio");
+    const std::unique_ptr<SweepSink> cells =
+        bench::openCellStore(args, "ablation_rz_cnot_ratio");
     const SweepReport report =
         runner.run(cell_fn, cells.get());
 

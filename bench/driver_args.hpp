@@ -61,11 +61,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cli_number.hpp"
 #include "common/json.hpp"
+#include "store/sink.hpp"
 #include "vqa/fault.hpp"
 
 namespace eftvqa {
@@ -211,6 +213,25 @@ applyFaultArgs(const DriverArgs &args, Spec &sweep)
                        args.inject_abort, 0.0}});
         if (sweep.cell_attempts < args.inject_abort + 1)
             sweep.cell_attempts = args.inject_abort + 1;
+    }
+}
+
+/**
+ * The --cells/--store sink of @p driver (nullptr without the flag). A
+ * path the store refuses (a JSON export, a corrupt header) is left
+ * untouched: the driver name and the store error go to stderr and the
+ * process exits 1.
+ */
+inline std::unique_ptr<SweepSink>
+openCellStore(const DriverArgs &args, const std::string &driver)
+{
+    if (args.cells.empty())
+        return nullptr;
+    try {
+        return std::make_unique<store::BinarySweepSink>(args.cells, driver);
+    } catch (const std::exception &e) {
+        std::cerr << driver << ": " << e.what() << "\n";
+        std::exit(1);
     }
 }
 

@@ -32,7 +32,6 @@
 #include "driver_args.hpp"
 #include "serve/client.hpp"
 #include "serve/workloads.hpp"
-#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -55,10 +54,8 @@ main(int argc, char **argv)
                  "12.59x max 189x; pQEC\n always wins and the advantage "
                  "grows with size)\n\n";
 
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = std::make_unique<store::BinarySweepSink>(
-            args.cells, "fig12_clifford_scale");
+    const std::unique_ptr<SweepSink> cells =
+        bench::openCellStore(args, "fig12_clifford_scale");
 
     SweepReport report;
     if (!args.daemon.empty()) {

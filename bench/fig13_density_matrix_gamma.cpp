@@ -26,7 +26,6 @@
 #include "ham/ising.hpp"
 #include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
-#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -137,10 +136,8 @@ main(int argc, char **argv)
 
     bench::applyFaultArgs(args, sweep);
     SweepRunner runner(std::move(sweep));
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = std::make_unique<store::BinarySweepSink>(
-            args.cells, "fig13_density_matrix_gamma");
+    const std::unique_ptr<SweepSink> cells =
+        bench::openCellStore(args, "fig13_density_matrix_gamma");
     const SweepReport report =
         runner.run(cell_fn, cells.get());
 

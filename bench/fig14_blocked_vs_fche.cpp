@@ -27,7 +27,6 @@
 #include "driver_args.hpp"
 #include "serve/client.hpp"
 #include "serve/workloads.hpp"
-#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -47,10 +46,8 @@ main(int argc, char **argv)
 
     serve::Workload wl = serve::fig14Workload(args.modeName());
 
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = std::make_unique<store::BinarySweepSink>(
-            args.cells, "fig14_blocked_vs_fche");
+    const std::unique_ptr<SweepSink> cells =
+        bench::openCellStore(args, "fig14_blocked_vs_fche");
 
     SweepReport report;
     if (!args.daemon.empty()) {

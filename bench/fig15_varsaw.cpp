@@ -22,7 +22,6 @@
 #include "ham/ising.hpp"
 #include "mitigation/varsaw.hpp"
 #include "noise/noise_model.hpp"
-#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -108,10 +107,8 @@ main(int argc, char **argv)
 
     bench::applyFaultArgs(args, sweep);
     SweepRunner runner(std::move(sweep));
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = std::make_unique<store::BinarySweepSink>(
-            args.cells, "fig15_varsaw");
+    const std::unique_ptr<SweepSink> cells =
+        bench::openCellStore(args, "fig15_varsaw");
     const SweepReport report =
         runner.run(cell_fn, cells.get());
 

@@ -89,8 +89,9 @@ pqecDmSpec(const PqecParams &params)
 
 namespace {
 
-/** A superoperator, or nullopt for the identity (nothing to apply). */
-using MaybeSuper = std::optional<Mat4>;
+/** A Pauli transfer matrix, or nullopt for the identity (nothing to
+ *  apply). */
+using MaybeSuper = std::optional<Ptm>;
 
 /** @p acc, then @p next. */
 void
@@ -137,7 +138,7 @@ compileNoisyStream(const Circuit &circuit, const DmNoiseSpec &spec)
         chain(relax(spec.time_2q_ns),
               pauliIfAny(depolarizingPauliChannel(spec.idle_depol)));
 
-    // Each qubit's superoperator since its last Pair2q; ops on
+    // Each qubit's transfer matrix since its last Pair2q; ops on
     // different qubits commute, so it waits for the qubit's next
     // two-qubit gate (or the end of the circuit).
     const size_t n = circuit.nQubits();

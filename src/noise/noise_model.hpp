@@ -93,10 +93,11 @@ DmNoiseSpec pqecDmSpec(const PqecParams &params);
  * density-matrix stream (see DmOp): the spec's channels trail each
  * gate and idle-window noise fills every ASAP layer in which a qubit
  * has no gate. A qubit's 1q gates, their channels and its idle noise
- * fuse into one pending superoperator, which the qubit's next 2q gate
- * absorbs as a Pair2q pre-op; whatever is left at the end is one
- * Super1q per qubit. O(gates) 4x4 products, so it is compiled fresh
- * for every bound circuit.
+ * fuse into one pending Pauli transfer matrix, which the qubit's next
+ * 2q gate absorbs as a Pair2q pre-op; whatever is left at the end is
+ * one Super1q per qubit. O(gates) real 4x4 products, so it is compiled
+ * fresh for every bound circuit. An empty spec gives the noiseless
+ * stream DensityMatrix::run executes.
  */
 std::vector<DmOp> compileNoisyStream(const Circuit &circuit,
                                      const DmNoiseSpec &spec);

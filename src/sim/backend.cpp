@@ -203,9 +203,9 @@ class DensityMatrixBackend final : public Backend
         : rho_(n_qubits),
           // Gate on the half this substrate consumes: a model carrying
           // only trajectory channels must not be mistaken for noise
-          // here.
-          noisy_(noise != nullptr && noise->hasDmNoise()),
-          spec_(noise != nullptr ? noise->dm : DmNoiseSpec{})
+          // here. Noiseless runs take the stream of the empty spec.
+          spec_(noise != nullptr && noise->hasDmNoise() ? noise->dm
+                                                        : DmNoiseSpec{})
     {
         rho_.setParallel(noise == nullptr || noise->parallel);
     }
@@ -217,24 +217,7 @@ class DensityMatrixBackend final : public Backend
     prepare(const Circuit &circuit) override
     {
         rho_.setZeroState();
-        if (noisy_)
-            runNoisyDensityMatrix(circuit, spec_, rho_);
-        else
-            rho_.run(circuit);
-        prepared_ = true;
-    }
-
-    void
-    prepareCompiled(const CompiledCircuit &compiled) override
-    {
-        rho_.setZeroState();
-        // The noisy stream fuses channels with the bound gates it
-        // compiles itself; only the noiseless path executes the
-        // unitary compiled ops.
-        if (noisy_)
-            runNoisyDensityMatrix(compiled.source(), spec_, rho_);
-        else
-            rho_.runCompiled(compiled);
+        runNoisyDensityMatrix(circuit, spec_, rho_);
         prepared_ = true;
     }
 
@@ -278,11 +261,10 @@ class DensityMatrixBackend final : public Backend
 
   private:
     DensityMatrix rho_;
-    bool noisy_;
     DmNoiseSpec spec_;
     bool prepared_ = false;
 
-    double measFlip() const { return noisy_ ? spec_.meas_flip : 0.0; }
+    double measFlip() const { return spec_.meas_flip; }
 };
 
 class TableauBackend final : public Backend

@@ -25,6 +25,13 @@ using Mat2 = std::array<std::complex<double>, 4>;
 /** Row-major 4x4 complex matrix (two-qubit unitaries). */
 using Mat4 = std::array<std::complex<double>, 16>;
 
+/**
+ * Row-major real 4x4 matrix: a one-qubit Pauli transfer matrix
+ * R[4a + b] = Tr(P_a L(P_b)) / 2 over the basis (I, Z, X, Y), index
+ * 2 x + z of P = sigma(x, z).
+ */
+using Ptm = std::array<double, 16>;
+
 /** Unitary of a one-qubit gate (rotations use the bound angle). */
 Mat2 gateMatrix1q(GateType type, double angle = 0.0);
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * Circuit compilation layer for the dense simulators.
+ * Circuit compilation layer for the statevector simulator (the
+ * density matrix compiles its own Pauli-basis stream, see
+ * noise/noise_model.hpp).
  *
- * `Statevector::run` / `DensityMatrix::run` used to make one full-state
+ * `Statevector::run` used to make one full-state
  * traversal per gate through generic kernels. CompiledCircuit compiles
  * a bound Circuit once into a short fused op stream:
  *
@@ -22,9 +24,8 @@
  * Fusion respects program order per qubit: a gate only merges backward
  * past ops that touch none of its qubits (or, for diagonal gates, past
  * other diagonal ops). Measure/Reset are per-qubit fusion barriers and
- * survive as explicit ops (the density matrix executes them as
- * channels; the statevector rejects them exactly as the uncompiled
- * path did).
+ * survive as explicit ops (the statevector rejects them exactly as the
+ * uncompiled path did).
  *
  * Compile once, execute many: the op stream is immutable and
  * backend-agnostic, so EstimationEngine memoizes CompiledCircuits by
@@ -51,8 +52,8 @@ enum class CompiledOpKind : uint8_t
     Unitary2q, ///< fused 4x4 unitary on a qubit pair
     DiagPhase, ///< diagonal phase sweep (collapsed Z/S/T/Rz/CZ run)
     Gf2Perm,   ///< GF(2)-affine basis permutation (X/CX/Swap run)
-    Measure,   ///< measurement barrier (channel on the density matrix)
-    Reset,     ///< reset barrier (channel on the density matrix)
+    Measure,   ///< measurement barrier (the statevector rejects it)
+    Reset,     ///< reset barrier (the statevector rejects it)
 };
 
 /**
@@ -170,9 +171,8 @@ int compiledBlockMode();
 
 /**
  * A Circuit compiled to the fused op stream. Immutable after
- * construction; keeps the source circuit so non-dense backends (and
- * the noisy density-matrix path, which interleaves channels between
- * gates) can still execute gate by gate.
+ * construction; keeps the source circuit so the tableau (gate by gate)
+ * and the density matrix (its own Pauli-basis stream) can execute it.
  */
 class CompiledCircuit
 {

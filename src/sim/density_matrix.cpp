@@ -10,8 +10,7 @@
 #include <omp.h>
 #endif
 
-#include "pauli/term_groups.hpp"
-#include "sim/lane_sweep.hpp"
+#include "noise/noise_model.hpp"
 #include "vqa/fault.hpp"
 
 namespace eftvqa {
@@ -33,6 +32,16 @@ checkedDensityMatrixSize(size_t n_qubits)
     return size_t{1} << (2 * n_qubits);
 }
 
+using cd = std::complex<double>;
+
+/** The one-qubit Paulis in PTM order: I, Z, X, Y. */
+const Mat2 kPauli[4] = {
+    Mat2{1.0, 0.0, 0.0, 1.0},
+    Mat2{1.0, 0.0, 0.0, -1.0},
+    Mat2{0.0, 1.0, 1.0, 0.0},
+    Mat2{0.0, cd{0.0, -1.0}, cd{0.0, 1.0}, 0.0},
+};
+
 } // namespace
 
 PairPerm
@@ -46,87 +55,113 @@ pairPerm(GateType t)
     }
 }
 
+PauliImage
+pairPauliImage(PairPerm perm, int k)
+{
+    int xa = (k >> 3) & 1, xb = (k >> 2) & 1;
+    int za = (k >> 1) & 1, zb = k & 1;
+    int sign = 1;
+    switch (perm) {
+      case PairPerm::None:
+        break;
+      case PairPerm::CX: // X_a -> X_a X_b, Z_b -> Z_a Z_b
+        if (xa & zb & (xb ^ za ^ 1))
+            sign = -1;
+        xb ^= xa;
+        za ^= zb;
+        break;
+      case PairPerm::CZ: // X_a -> X_a Z_b, X_b -> Z_a X_b
+        if (xa & xb & (za ^ zb))
+            sign = -1;
+        za ^= xb;
+        zb ^= xa;
+        break;
+      case PairPerm::Swap:
+        std::swap(xa, xb);
+        std::swap(za, zb);
+        break;
+    }
+    return {8 * xa + 4 * xb + 2 * za + zb, sign};
+}
+
 namespace superop {
 
 namespace {
 
-Mat4
+Ptm
 identity()
 {
-    Mat4 m{};
+    Ptm m{};
     m[0] = m[5] = m[10] = m[15] = 1.0;
     return m;
 }
 
 } // namespace
 
-Mat4
+Ptm
 conjugation(const Mat2 &k)
 {
-    // (K (x) conj K)[(2i + j), (2k + l)] = K[i][k] conj(K[j][l]).
-    Mat4 m;
-    for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j)
-            for (int a = 0; a < 2; ++a)
-                for (int b = 0; b < 2; ++b)
-                    m[4 * (2 * i + j) + 2 * a + b] =
-                        k[2 * i + a] * std::conj(k[2 * j + b]);
+    // R[a][b] = Tr(P_a K P_b K^dag) / 2, real for any K.
+    const Mat2 kd = dagger(k);
+    Ptm m{};
+    for (int b = 0; b < 4; ++b) {
+        const Mat2 img = matmul(matmul(k, kPauli[b]), kd);
+        for (int a = 0; a < 4; ++a) {
+            const Mat2 prod = matmul(kPauli[a], img);
+            m[4 * a + b] = 0.5 * (prod[0] + prod[3]).real();
+        }
+    }
     return m;
 }
 
-Mat4
+Ptm
 kraus(const KrausChannel &channel)
 {
-    Mat4 m{};
+    Ptm m{};
     for (const Mat2 &k : channel.ops) {
-        const Mat4 c = conjugation(k);
+        const Ptm c = conjugation(k);
         for (int e = 0; e < 16; ++e)
             m[e] += c[e];
     }
     return m;
 }
 
-Mat4
+Ptm
 pauli(const PauliChannel &ch)
 {
-    // Diagonal blocks mix by X/Y flips, coherences by the X-Y and
-    // I-Z balances: rho00' = (pI + pz) rho00 + (px + py) rho11 and
-    // rho01' = (pI - pz) rho01 + (px - py) rho10.
-    const double pi_ = ch.pIdentity();
-    const double adiag = pi_ + ch.pz, bdiag = ch.px + ch.py;
-    const double aoff = pi_ - ch.pz, boff = ch.px - ch.py;
-    Mat4 m{};
-    m[0] = m[15] = adiag;
-    m[3] = m[12] = bdiag;
-    m[5] = m[10] = aoff;
-    m[6] = m[9] = boff;
+    // Each Pauli flips the sign of the two it anticommutes with.
+    Ptm m{};
+    m[0] = 1.0;
+    m[5] = 1.0 - 2.0 * (ch.px + ch.py);
+    m[10] = 1.0 - 2.0 * (ch.py + ch.pz);
+    m[15] = 1.0 - 2.0 * (ch.px + ch.pz);
     return m;
 }
 
-Mat4
+Ptm
 amplitudeDamping(double gamma)
 {
     if (gamma < 0.0 || gamma > 1.0)
         throw std::invalid_argument("applyAmplitudeDamping: bad gamma");
-    Mat4 m{};
+    Ptm m{};
     m[0] = 1.0;
-    m[3] = gamma;
-    m[5] = m[10] = std::sqrt(1.0 - gamma);
-    m[15] = 1.0 - gamma;
+    m[4] = gamma; // I feeds Z: the decay pumps toward |0>
+    m[5] = 1.0 - gamma;
+    m[10] = m[15] = std::sqrt(1.0 - gamma);
     return m;
 }
 
-Mat4
+Ptm
 phaseDamping(double lambda)
 {
     if (lambda < 0.0 || lambda > 1.0)
         throw std::invalid_argument("applyPhaseDamping: bad lambda");
-    Mat4 m = identity();
-    m[5] = m[10] = std::sqrt(1.0 - lambda);
+    Ptm m = identity();
+    m[10] = m[15] = std::sqrt(1.0 - lambda);
     return m;
 }
 
-Mat4
+Ptm
 thermalRelaxation(double t1, double t2, double t)
 {
     if (t <= 0.0)
@@ -142,24 +177,24 @@ thermalRelaxation(double t1, double t2, double t)
     return then(amplitudeDamping(gamma), phaseDamping(lambda));
 }
 
-Mat4
+Ptm
 measureDephase()
 {
     return phaseDamping(1.0);
 }
 
-Mat4
+Ptm
 reset()
 {
-    Mat4 m{};
-    m[0] = m[3] = 1.0;
+    Ptm m{};
+    m[0] = m[4] = 1.0;
     return m;
 }
 
-Mat4
-then(const Mat4 &first, const Mat4 &second)
+Ptm
+then(const Ptm &first, const Ptm &second)
 {
-    Mat4 m{};
+    Ptm m{};
     for (int r = 0; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
             for (int k = 0; k < 4; ++k)
@@ -169,80 +204,57 @@ then(const Mat4 &first, const Mat4 &second)
 
 } // namespace superop
 
-DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
-{
-    const size_t size = checkedDensityMatrixSize(n_qubits);
-    try {
-        // Probe inside the try: an injected bad_alloc takes the same
-        // structured ResourceError path a real allocation failure does.
-        faultProbe("alloc.backend");
-        data_.assign(size, {0.0, 0.0});
-    } catch (const std::bad_alloc &) {
-        throw ResourceError("DensityMatrix", n_qubits,
-                            size * sizeof(std::complex<double>));
-    }
-    data_[0] = 1.0;
-}
-
-void
-DensityMatrix::setZeroState()
-{
-    std::fill(data_.begin(), data_.end(), std::complex<double>{0.0, 0.0});
-    data_[0] = 1.0;
-}
-
-void
-DensityMatrix::setPureState(const Statevector &psi)
-{
-    if (psi.nQubits() != n_)
-        throw std::invalid_argument("setPureState: width mismatch");
-    const size_t d = dim();
-    const auto &amps = psi.amplitudes();
-    for (size_t i = 0; i < d; ++i)
-        for (size_t j = 0; j < d; ++j)
-            data_[i * d + j] = amps[i] * std::conj(amps[j]);
-}
-
 namespace {
 
-/**
- * Apply a 2x2 matrix at a global bit position of a flat vector: the
- * workhorse for both ket- and bra-side updates. SIMD when the lane
- * kernels are available (bit-identical to the scalar loop).
- */
-void
-applyAtBit(simd::AmpVector &v, const Mat2 &m, size_t bit)
+/** Stream pass of a PTM on qubit q: the quad at bits (n + q, q). */
+simd::PauliPass
+quadPass(const Ptm &m, size_t q, size_t n)
 {
-    const size_t stride = size_t{1} << bit;
-    if (simd::tryApply1q(v.data(), v.size(), stride, m, false))
-        return;
-    const size_t dim = v.size();
-    for (size_t base = 0; base < dim; base += 2 * stride) {
-        for (size_t off = 0; off < stride; ++off) {
-            const size_t i0 = base + off;
-            const size_t i1 = i0 + stride;
-            const std::complex<double> a = v[i0];
-            const std::complex<double> b = v[i1];
-            v[i0] = m[0] * a + m[1] * b;
-            v[i1] = m[2] * a + m[3] * b;
-        }
+    if (q >= n)
+        throw std::invalid_argument("DensityMatrix: qubit out of range");
+    simd::PauliPass p;
+    p.kind = simd::PauliPass::Kind::Quad;
+    p.lo = q;
+    p.hi = n + q;
+    std::copy(m.begin(), m.end(), p.ma);
+    return p;
+}
+
+/** Stream pass of a Pair2q op (see DmOp and simd::PauliPass). */
+simd::PauliPass
+pairPass(const DmOp &op, size_t n)
+{
+    if (op.depol < 0.0 || op.depol > 1.0)
+        throw std::invalid_argument("applyDepolarizing2q: bad p");
+    if (op.q0 >= n || op.q1 >= n || op.q0 == op.q1)
+        throw std::invalid_argument("DensityMatrix: bad qubit pair");
+    simd::PauliPass p;
+    p.kind = simd::PauliPass::Kind::Pair;
+    // Group-local index k = 8 x_a + 4 x_b + 2 z_a + z_b.
+    const uint64_t bit[4] = {n + op.q0, n + op.q1, op.q0, op.q1};
+    const auto offset = [&](int k) {
+        uint64_t off = 0;
+        for (int j = 0; j < 4; ++j)
+            if (k & (8 >> j))
+                off |= uint64_t{1} << bit[j];
+        return off;
+    };
+    std::copy(std::begin(bit), std::end(bit), std::begin(p.pos));
+    std::sort(std::begin(p.pos), std::end(p.pos));
+    // (1 - p) rho + p/15 sum_{P != II} P rho P keeps the pair identity
+    // and scales the other 15 pair Paulis by 1 - 16p/15.
+    const double keep = 1.0 - 16.0 * op.depol / 15.0;
+    for (int k = 0; k < 16; ++k) {
+        const PauliImage img = pairPauliImage(op.perm, k);
+        p.from[k] = offset(k);
+        p.to[k] = offset(img.k);
+        p.fac[k] = (k == 0 ? 1.0 : keep) * img.sign;
     }
-}
-
-Mat2
-conjugate(const Mat2 &m)
-{
-    return {std::conj(m[0]), std::conj(m[1]), std::conj(m[2]),
-            std::conj(m[3])};
-}
-
-Mat4
-conjugate4(const Mat4 &m)
-{
-    Mat4 out;
-    for (int i = 0; i < 16; ++i)
-        out[i] = std::conj(m[i]);
-    return out;
+    p.pre_a = op.pre0;
+    p.pre_b = op.pre1;
+    std::copy(op.s0.begin(), op.s0.end(), p.ma);
+    std::copy(op.s1.begin(), op.s1.end(), p.mb);
+    return p;
 }
 
 /** A Pair2q op with no pre-ops. */
@@ -258,164 +270,126 @@ pairOp(PairPerm perm, size_t q0, size_t q1, double depol = 0.0)
     return op;
 }
 
-/** Insert a zero bit at position p (bits at and above p shift up). */
-uint64_t
-insertZeroBit(uint64_t x, uint64_t p)
+/** A Super1q op. */
+DmOp
+superOp(const Ptm &s, size_t q)
 {
-    const uint64_t low = (uint64_t{1} << p) - 1;
-    return ((x & ~low) << 1) | (x & low);
+    DmOp op;
+    op.q0 = static_cast<uint32_t>(q);
+    op.s0 = s;
+    return op;
 }
 
 /**
- * Apply a 4x4 matrix (not necessarily unitary) at two global bit
- * positions of a flat vector (pa indexes the high bit of the 4x4
- * basis): ket-side 2q gates, and one-qubit superoperators on the
- * (ket, bra) bit pair.
+ * The coefficients Tr(sigma(x, z) psi psi^dag) of a pure state, one
+ * x at a time: fn(x, row) with row[z] for z in [0, 2^n). With
+ * v_x[i] = conj(psi[i ^ x]) psi[i], <psi| X^x Z^z |psi> is the
+ * Walsh-Hadamard transform of v_x at z, and sigma(x, z) = i^(x.z)
+ * X^x Z^z. O(n 4^n) time, O(2^n) memory.
  */
+template <class Fn>
 void
-applyMat4AtBits(simd::AmpVector &v, const Mat4 &m, size_t pa, size_t pb,
-                bool parallel = false)
+forPauliRows(const Statevector &psi, Fn fn)
 {
-    if (simd::tryApply2q(v.data(), v.size(), pa, pb, m, parallel))
-        return;
-    const uint64_t ma = uint64_t{1} << pa;
-    const uint64_t mb = uint64_t{1} << pb;
-    const uint64_t plow = std::min(pa, pb);
-    const uint64_t phigh = std::max(pa, pb);
-    std::complex<double> *d = v.data();
-    simd::detail::forSlices(
-        v.size() / 4, parallel,
-        [&](size_t t0, size_t t1) {
-            for (size_t t = t0; t < t1; ++t) {
-                const uint64_t i00 =
-                    insertZeroBit(insertZeroBit(t, plow), phigh);
-                const uint64_t i01 = i00 | mb;
-                const uint64_t i10 = i00 | ma;
-                const uint64_t i11 = i00 | ma | mb;
-                const std::complex<double> v0 = d[i00];
-                const std::complex<double> v1 = d[i01];
-                const std::complex<double> v2 = d[i10];
-                const std::complex<double> v3 = d[i11];
-                using simd::detail::cmul;
-                d[i00] = cmul(m[0], v0) + cmul(m[1], v1) + cmul(m[2], v2) +
-                         cmul(m[3], v3);
-                d[i01] = cmul(m[4], v0) + cmul(m[5], v1) + cmul(m[6], v2) +
-                         cmul(m[7], v3);
-                d[i10] = cmul(m[8], v0) + cmul(m[9], v1) +
-                         cmul(m[10], v2) + cmul(m[11], v3);
-                d[i11] = cmul(m[12], v0) + cmul(m[13], v1) +
-                         cmul(m[14], v2) + cmul(m[15], v3);
+    const size_t d = size_t{1} << psi.nQubits();
+    const auto &a = psi.amplitudes();
+    std::vector<cd> v(d);
+    std::vector<double> row(d);
+    for (uint64_t x = 0; x < d; ++x) {
+        for (uint64_t i = 0; i < d; ++i)
+            v[i] = std::conj(a[i ^ x]) * a[i];
+        for (size_t h = 1; h < d; h <<= 1)
+            for (size_t i = 0; i < d; i += 2 * h)
+                for (size_t j = i; j < i + h; ++j) {
+                    const cd p = v[j], q = v[j + h];
+                    v[j] = p + q;
+                    v[j + h] = p - q;
+                }
+        // Re(i^k w) for k = x.z mod 4.
+        for (uint64_t z = 0; z < d; ++z) {
+            const cd w = v[z];
+            switch (std::popcount(x & z) & 3) {
+              case 0: row[z] = w.real(); break;
+              case 1: row[z] = -w.imag(); break;
+              case 2: row[z] = -w.real(); break;
+              default: row[z] = w.imag(); break;
             }
-        },
-        4);
+        }
+        fn(x, row);
+    }
+}
+
+/** Coefficient index (x << n) | z of @p p and the real part of
+ *  i^(e - #Y) relating P = i^e X^x Z^z to sigma(x, z). */
+std::pair<uint64_t, double>
+coefficientOf(const PauliString &p, size_t n)
+{
+    const uint64_t x = n == 0 ? 0 : p.xWords()[0];
+    const uint64_t z = n == 0 ? 0 : p.zWords()[0];
+    const int k = ((p.phaseExponent() - std::popcount(x & z)) % 4 + 4) % 4;
+    return {(x << n) | z, k == 0 ? 1.0 : k == 2 ? -1.0 : 0.0};
 }
 
 } // namespace
 
+DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
+{
+    const size_t size = checkedDensityMatrixSize(n_qubits);
+    try {
+        // Probe inside the try: an injected bad_alloc takes the same
+        // structured ResourceError path a real allocation failure does.
+        faultProbe("alloc.backend");
+        data_.assign(size, 0.0);
+    } catch (const std::bad_alloc &) {
+        throw ResourceError("DensityMatrix", n_qubits, size * sizeof(double));
+    }
+    setZeroState();
+}
+
+void
+DensityMatrix::setZeroState()
+{
+    // |0><0| = prod_q (I + Z_q) / 2: every Z-type coefficient is 1.
+    std::fill(data_.begin(), data_.end(), 0.0);
+    std::fill_n(data_.begin(), dim(), 1.0);
+}
+
+void
+DensityMatrix::setPureState(const Statevector &psi)
+{
+    if (psi.nQubits() != n_)
+        throw std::invalid_argument("setPureState: width mismatch");
+    forPauliRows(psi, [&](uint64_t x, const std::vector<double> &row) {
+        std::copy(row.begin(), row.end(), data_.begin() + (x << n_));
+    });
+}
+
+std::vector<std::complex<double>>
+DensityMatrix::toMatrix() const
+{
+    std::vector<cd> m(data_.begin(), data_.end());
+    // Per qubit, (c_I, c_Z, c_X, c_Y) -> (rho00, rho01, rho10, rho11) on
+    // the quads at bits (n + q, q).
+    const cd i_unit{0.0, 1.0};
+    for (size_t q = 0; q < n_; ++q) {
+        const uint64_t lo = uint64_t{1} << q, hi = uint64_t{1} << (n_ + q);
+        for (uint64_t t = 0; t < m.size() / 4; ++t) {
+            cd *e = m.data() + simd::detail::insertZeroBit(
+                                   simd::detail::insertZeroBit(t, q), n_ + q);
+            const cd ci = e[0], cz = e[lo], cx = e[hi], cy = e[hi | lo];
+            e[0] = 0.5 * (ci + cz);
+            e[lo] = 0.5 * (cx - i_unit * cy);
+            e[hi] = 0.5 * (cx + i_unit * cy);
+            e[hi | lo] = 0.5 * (ci - cz);
+        }
+    }
+    return m;
+}
+
 void
 DensityMatrix::applyMatrix1q(const Mat2 &u, size_t q)
 {
-    applyAtBit(data_, u, n_ + q);
-    applyAtBit(data_, conjugate(u), q);
-}
-
-void
-DensityMatrix::applyMatrix2q(const Mat4 &u, size_t qa, size_t qb)
-{
-    applyMat4AtBits(data_, u, n_ + qa, n_ + qb);
-    applyMat4AtBits(data_, conjugate4(u), qa, qb);
-}
-
-void
-DensityMatrix::applyDiagPhase(const DiagPhaseOp &dop)
-{
-    // One pass over the matrix: rho_ij *= ph_i conj(ph_j), with the
-    // per-row phases materialized once (d entries, not 4^n).
-    const size_t d = dim();
-    std::vector<std::complex<double>> ph(d);
-    for (uint64_t i = 0; i < d; ++i)
-        ph[i] = dop.phaseAt(i);
-    for (uint64_t i = 0; i < d; ++i)
-        simd::rowScalePhase(&data_[i * d], d, ph[i], ph.data());
-}
-
-void
-DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
-{
-    const size_t d = dim();
-    switch (p.cls) {
-      case Gf2PermClass::XorMask: {
-        // rho -> P rho P with P the xor-mask involution: element
-        // (i, j) exchanges with (i^f, j^f), once per pair of rows.
-        const uint64_t f = p.flips;
-        for (uint64_t i = 0; i < d; ++i) {
-            const uint64_t i2 = i ^ f;
-            if (i >= i2)
-                continue;
-            if (simd::tryXorRowsSwap(&data_[i * d], &data_[i2 * d], d, f))
-                continue;
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[i2 * d + (j ^ f)]);
-        }
-        return;
-      }
-      case Gf2PermClass::SingleCX:
-      case Gf2PermClass::SingleSwap:
-        applyPair2q(pairOp(p.cls == Gf2PermClass::SingleCX ? PairPerm::CX
-                                                           : PairPerm::Swap,
-                           p.q0, p.q1));
-        return;
-      case Gf2PermClass::General:
-        break;
-    }
-    // General affine map, in place: permute rows then columns by
-    // cycle-walking the index permutation with one row/column buffer
-    // (d entries) instead of a transient 4^n scratch matrix — at the
-    // 13-qubit cap a full scratch would double the gigabyte-scale
-    // footprint.
-    std::vector<uint64_t> src(d);
-    for (uint64_t y = 0; y < d; ++y)
-        src[y] = p.applyInverse(y);
-    std::vector<std::complex<double>> buf(d);
-    std::vector<char> visited(d, 0);
-
-    // Rows: row y <- row src[y], cycle by cycle.
-    for (uint64_t start = 0; start < d; ++start) {
-        if (visited[start] || src[start] == start)
-            continue;
-        std::copy_n(&data_[start * d], d, buf.begin());
-        uint64_t y = start;
-        while (true) {
-            visited[y] = 1;
-            const uint64_t s = src[y];
-            if (s == start)
-                break;
-            std::copy_n(&data_[s * d], d, &data_[y * d]);
-            y = s;
-        }
-        std::copy_n(buf.begin(), d, &data_[y * d]);
-    }
-
-    // Columns: column y <- column src[y], same cycles.
-    std::fill(visited.begin(), visited.end(), 0);
-    for (uint64_t start = 0; start < d; ++start) {
-        if (visited[start] || src[start] == start)
-            continue;
-        for (uint64_t i = 0; i < d; ++i)
-            buf[i] = data_[i * d + start];
-        uint64_t y = start;
-        while (true) {
-            visited[y] = 1;
-            const uint64_t s = src[y];
-            if (s == start)
-                break;
-            for (uint64_t i = 0; i < d; ++i)
-                data_[i * d + y] = data_[i * d + s];
-            y = s;
-        }
-        for (uint64_t i = 0; i < d; ++i)
-            data_[i * d + y] = buf[i];
-    }
+    execute({superOp(superop::conjugation(u), q)});
 }
 
 void
@@ -430,7 +404,7 @@ DensityMatrix::applyGate(const Gate &g)
       case GateType::CX:
       case GateType::CZ:
       case GateType::Swap:
-        applyPair2q(pairOp(pairPerm(g.type), g.q0, g.q1));
+        execute({pairOp(pairPerm(g.type), g.q0, g.q1)});
         return;
       case GateType::Measure:
         applyMeasurementDephase(g.q0);
@@ -439,8 +413,7 @@ DensityMatrix::applyGate(const Gate &g)
         applyResetChannel(g.q0);
         return;
       default:
-        applySuper1q(superop::conjugation(gateMatrix1q(g.type, g.angle)),
-                     g.q0);
+        applyMatrix1q(gateMatrix1q(g.type, g.angle), g.q0);
         return;
     }
 }
@@ -456,72 +429,17 @@ DensityMatrix::forkable() const
 }
 
 void
-DensityMatrix::applySuper1q(const Mat4 &s, size_t q)
-{
-    applyMat4AtBits(data_, s, n_ + q, q, forkable());
-}
-
-void
-DensityMatrix::applyPair2q(const DmOp &op)
-{
-    if (op.depol < 0.0 || op.depol > 1.0)
-        throw std::invalid_argument("applyDepolarizing2q: bad p");
-    // Group-local index k = 8 ket_a + 4 ket_b + 2 bra_a + bra_b.
-    const uint64_t bit[4] = {n_ + op.q0, n_ + op.q1, op.q0, op.q1};
-    const auto offset = [&](int k) {
-        uint64_t off = 0;
-        for (int j = 0; j < 4; ++j)
-            if (k & (8 >> j))
-                off |= uint64_t{1} << bit[j];
-        return off;
-    };
-    simd::PairKernel pk;
-    std::copy(std::begin(bit), std::end(bit), std::begin(pk.pos));
-    std::sort(std::begin(pk.pos), std::end(pk.pos));
-    pk.pre_a = op.pre0 ? &op.s0 : nullptr;
-    pk.pre_b = op.pre1 ? &op.s1 : nullptr;
-    if (op.depol > 0.0) {
-        // (1 - p) rho + p/15 sum_{P != II} P rho P: mix by 16p/15
-        // toward (pair-traced rho) (x) I/4.
-        const double lambda = 16.0 * op.depol / 15.0;
-        pk.depol = true;
-        pk.keep = 1.0 - lambda;
-        pk.quarter_mix = 0.25 * lambda;
-    }
-    for (int k = 0; k < 16; ++k) {
-        // The same basis permutation on the ket pair and the bra pair.
-        int ka = (k >> 3) & 1, kb = (k >> 2) & 1;
-        int ba = (k >> 1) & 1, bb = k & 1;
-        switch (op.perm) {
-          case PairPerm::None:
-            break;
-          case PairPerm::CX:
-            kb ^= ka;
-            bb ^= ba;
-            break;
-          case PairPerm::CZ:
-            pk.flip[k] = (ka & kb) != (ba & bb);
-            break;
-          case PairPerm::Swap:
-            std::swap(ka, kb);
-            std::swap(ba, bb);
-            break;
-        }
-        pk.from[k] = offset(k);
-        pk.to[k] = offset(8 * ka + 4 * kb + 2 * ba + bb);
-    }
-    simd::applyPair2q(data_.data(), data_.size(), pk, forkable());
-}
-
-void
 DensityMatrix::execute(const std::vector<DmOp> &ops)
 {
+    std::vector<simd::PauliPass> passes;
+    passes.reserve(ops.size());
     for (const DmOp &op : ops) {
-        if (op.kind == DmOpKind::Super1q)
-            applySuper1q(op.s0, op.q0);
-        else
-            applyPair2q(op);
+        passes.push_back(op.kind == DmOpKind::Super1q
+                             ? quadPass(op.s0, op.q0, n_)
+                             : pairPass(op, n_));
+        simd::planPass(passes.back(), data_.size());
     }
+    simd::runPauliStream(data_.data(), data_.size(), passes, forkable());
 }
 
 void
@@ -529,66 +447,37 @@ DensityMatrix::run(const Circuit &circuit)
 {
     if (circuit.nQubits() != n_)
         throw std::invalid_argument("DensityMatrix::run: width mismatch");
-    runCompiled(CompiledCircuit(circuit));
-}
-
-void
-DensityMatrix::runCompiled(const CompiledCircuit &compiled)
-{
-    if (compiled.nQubits() != n_)
-        throw std::invalid_argument("DensityMatrix::run: width mismatch");
-    for (const CompiledOp &op : compiled.ops()) {
-        switch (op.kind) {
-          case CompiledOpKind::Unitary1q:
-            applyMatrix1q(compiled.mat1(op), op.q0);
-            break;
-          case CompiledOpKind::Unitary2q:
-            applyMatrix2q(compiled.mat2(op), op.q0, op.q1);
-            break;
-          case CompiledOpKind::DiagPhase:
-            applyDiagPhase(compiled.diag(op));
-            break;
-          case CompiledOpKind::Gf2Perm:
-            applyGf2Perm(compiled.perm(op));
-            break;
-          case CompiledOpKind::Measure:
-            applyMeasurementDephase(op.q0);
-            break;
-          case CompiledOpKind::Reset:
-            applyResetChannel(op.q0);
-            break;
-        }
-    }
+    execute(compileNoisyStream(circuit, DmNoiseSpec{}));
 }
 
 void
 DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
 {
-    applySuper1q(superop::kraus(channel), q);
+    execute({superOp(superop::kraus(channel), q)});
 }
 
 void
 DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
 {
-    applySuper1q(superop::pauli(channel), q);
+    execute({superOp(superop::pauli(channel), q)});
 }
 
 void
 DensityMatrix::applyDepolarizing2q(double p, size_t q0, size_t q1)
 {
-    applyPair2q(pairOp(PairPerm::None, q0, q1, p));
+    execute({pairOp(PairPerm::None, q0, q1, p)});
 }
 
 void
 DensityMatrix::applyAmplitudeDamping(double gamma, size_t q)
 {
-    applySuper1q(superop::amplitudeDamping(gamma), q);
+    execute({superOp(superop::amplitudeDamping(gamma), q)});
 }
 
 void
 DensityMatrix::applyPhaseDamping(double lambda, size_t q)
 {
-    applySuper1q(superop::phaseDamping(lambda), q);
+    execute({superOp(superop::phaseDamping(lambda), q)});
 }
 
 void
@@ -596,19 +485,19 @@ DensityMatrix::applyThermalRelaxation(double t1, double t2, double t,
                                       size_t q)
 {
     if (t > 0.0)
-        applySuper1q(superop::thermalRelaxation(t1, t2, t), q);
+        execute({superOp(superop::thermalRelaxation(t1, t2, t), q)});
 }
 
 void
 DensityMatrix::applyMeasurementDephase(size_t q)
 {
-    applySuper1q(superop::measureDephase(), q);
+    execute({superOp(superop::measureDephase(), q)});
 }
 
 void
 DensityMatrix::applyResetChannel(size_t q)
 {
-    applySuper1q(superop::reset(), q);
+    execute({superOp(superop::reset(), q)});
 }
 
 double
@@ -617,16 +506,8 @@ DensityMatrix::expectation(const PauliString &p) const
     if (p.nQubits() != n_)
         throw std::invalid_argument(
             "DensityMatrix::expectation: size mismatch");
-    const size_t d = dim();
-    std::complex<double> acc = 0.0;
-    std::complex<double> amp;
-    // Tr(P rho) = sum_i <i| P rho |i> = sum_i amp_i' rho[pi(i), i] with
-    // P|j> = amp |pi(j)>; using <i|P = (P|i>)^T row.
-    for (uint64_t i = 0; i < d; ++i) {
-        const uint64_t j = p.applyToBasis(i, amp);
-        acc += amp * data_[i * d + j];
-    }
-    return acc.real();
+    const auto [index, sign] = coefficientOf(p, n_);
+    return sign * data_[index];
 }
 
 double
@@ -644,54 +525,46 @@ DensityMatrix::expectationBatch(const Hamiltonian &h) const
     if (h.nQubits() != n_)
         throw std::invalid_argument(
             "DensityMatrix::expectationBatch: size mismatch");
-    const size_t d = dim();
-    const std::complex<double> *data = data_.data();
-    return detail::expectationBatchSweep(
-        h, d,
-        // Diagonal group: only Re(rho_ii) survives the final real
-        // projection (Hermitian Z-type terms have +/-1 phase).
-        [data, d](uint64_t i) {
-            return std::complex<double>{data[i * d + i].real(), 0.0};
-        },
-        [data, d](uint64_t xm) {
-            return [data, d, xm](uint64_t i) {
-                return data[i * d + (i ^ xm)];
-            };
-        },
-        [data, d](uint64_t xm, size_t lanes, const uint64_t *z,
-                  bool parallel, double *out_re, double *out_im) {
-            return simd::trySweepChunkDm(data, d, xm, lanes, z, parallel,
-                                         out_re, out_im);
-        });
+    const auto &terms = h.terms();
+    std::vector<double> out(terms.size());
+    for (size_t k = 0; k < terms.size(); ++k)
+        out[k] = expectation(terms[k].op);
+    return out;
 }
 
 std::vector<double>
 DensityMatrix::diagonalProbabilities() const
 {
+    // p(b) = 2^-n sum_z c_z (-1)^(b . z): an in-place Walsh-Hadamard
+    // transform of the Z-type coefficients.
     const size_t d = dim();
-    std::vector<double> probs(d);
-    for (uint64_t i = 0; i < d; ++i)
-        probs[i] = data_[i * d + i].real();
+    std::vector<double> probs(data_.begin(), data_.begin() + d);
+    for (size_t h = 1; h < d; h <<= 1)
+        for (size_t i = 0; i < d; i += 2 * h)
+            for (size_t j = i; j < i + h; ++j) {
+                const double a = probs[j], b = probs[j + h];
+                probs[j] = a + b;
+                probs[j + h] = a - b;
+            }
+    const double scale = 1.0 / static_cast<double>(d);
+    for (double &p : probs)
+        p = std::max(0.0, p * scale);
     return probs;
 }
 
 double
 DensityMatrix::trace() const
 {
-    const size_t d = dim();
-    std::complex<double> acc = 0.0;
-    for (uint64_t i = 0; i < d; ++i)
-        acc += data_[i * d + i];
-    return acc.real();
+    return data_[0];
 }
 
 double
 DensityMatrix::purity() const
 {
     double acc = 0.0;
-    for (const auto &c : data_)
-        acc += std::norm(c);
-    return acc;
+    for (const double c : data_)
+        acc += c * c;
+    return acc / static_cast<double>(dim());
 }
 
 double
@@ -699,25 +572,21 @@ DensityMatrix::fidelityWithPure(const Statevector &psi) const
 {
     if (psi.nQubits() != n_)
         throw std::invalid_argument("fidelityWithPure: width mismatch");
-    const size_t d = dim();
-    const auto &amps = psi.amplitudes();
-    std::complex<double> acc = 0.0;
-    for (uint64_t i = 0; i < d; ++i)
-        for (uint64_t j = 0; j < d; ++j)
-            acc += std::conj(amps[i]) * data_[i * d + j] * amps[j];
-    return acc.real();
+    // Tr(rho psi psi^dag) = 2^-n sum_P c_P(rho) c_P(psi).
+    double acc = 0.0;
+    forPauliRows(psi, [&](uint64_t x, const std::vector<double> &row) {
+        for (size_t z = 0; z < row.size(); ++z)
+            acc += data_[(x << n_) | z] * row[z];
+    });
+    return acc / static_cast<double>(dim());
 }
 
 double
 DensityMatrix::probabilityOfOne(size_t q) const
 {
-    const size_t d = dim();
-    const uint64_t qmask = uint64_t{1} << q;
-    double p1 = 0.0;
-    for (uint64_t i = 0; i < d; ++i)
-        if (i & qmask)
-            p1 += data_[i * d + i].real();
-    return p1;
+    if (q >= n_)
+        throw std::invalid_argument("probabilityOfOne: qubit out of range");
+    return 0.5 * (data_[0] - data_[uint64_t{1} << q]);
 }
 
 } // namespace eftvqa

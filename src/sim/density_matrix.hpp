@@ -4,8 +4,10 @@
  *
  * This is the in-tree replacement for Qiskit's AerSimulator density-matrix
  * backend the paper uses for 8- and 12-qubit studies (section 5.2.1).
- * The density operator is stored as a 2^n x 2^n row-major matrix; gates
- * act as rho -> U rho U^dag and noise as rho -> sum_k K_k rho K_k^dag.
+ * The density operator is stored in the Pauli basis: the 4^n real
+ * coefficients c_P = Tr(P rho) of rho = 2^-n sum_P c_P P (8 * 4^n
+ * bytes). Gates and channels act as real Pauli transfer matrices, and a
+ * Pauli expectation is one coefficient lookup.
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
@@ -17,59 +19,59 @@
 #include "circuit/circuit.hpp"
 #include "pauli/hamiltonian.hpp"
 #include "sim/channels.hpp"
+#include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 
 namespace eftvqa {
 
 /**
- * 4x4 superoperators on one qubit's (ket, bra) bit pair of rho viewed
- * as a 2n-bit vector (element (i, j) at index i * 2^n + j, so qubit q's
- * ket bit sits at position n + q and its bra bit at q). Basis index
- * 2 ket + bra, ket the high bit: the channel rho -> sum_k K rho K^dag
- * is sum_k K (x) conj(K).
+ * One-qubit channels as Pauli transfer matrices (see Ptm): real 4x4
+ * matrices over the qubit's Pauli coefficients (c_I, c_Z, c_X, c_Y),
+ * new c_a = sum_b R[4a + b] c_b.
  */
 namespace superop {
 
-/** K (x) conj(K): conjugation rho -> K rho K^dag (a unitary gate). */
-Mat4 conjugation(const Mat2 &k);
+/** The PTM of rho -> K rho K^dag (a unitary gate when K is unitary). */
+Ptm conjugation(const Mat2 &k);
 
-/** sum_k K_k (x) conj(K_k). */
-Mat4 kraus(const KrausChannel &channel);
+/** sum_k of the conjugation PTMs of the Kraus operators. */
+Ptm kraus(const KrausChannel &channel);
 
-Mat4 pauli(const PauliChannel &channel);
+/** diag(1, 1 - 2(px + py), 1 - 2(py + pz), 1 - 2(px + pz)). */
+Ptm pauli(const PauliChannel &channel);
 
 /** Amplitude damping; throws on gamma outside [0, 1]. */
-Mat4 amplitudeDamping(double gamma);
+Ptm amplitudeDamping(double gamma);
 
 /** Phase damping; throws on lambda outside [0, 1]. */
-Mat4 phaseDamping(double lambda);
+Ptm phaseDamping(double lambda);
 
 /**
  * Thermal relaxation for duration t with times T1, T2: amplitude
  * damping then phase damping, matching thermalRelaxationChannel();
  * identity when t <= 0.
  */
-Mat4 thermalRelaxation(double t1, double t2, double t);
+Ptm thermalRelaxation(double t1, double t2, double t);
 
 /** Z-basis measurement without readout (full dephasing). */
-Mat4 measureDephase();
+Ptm measureDephase();
 
 /** Trace out the qubit and re-prepare |0>. */
-Mat4 reset();
+Ptm reset();
 
 /** The composition "first, then second" (second * first). */
-Mat4 then(const Mat4 &first, const Mat4 &second);
+Ptm then(const Ptm &first, const Ptm &second);
 
 } // namespace superop
 
 /** Op kinds of the noisy density-matrix stream (see DmOp). */
 enum class DmOpKind : uint8_t
 {
-    Super1q, ///< one 4x4 superoperator on bits (n + q0, q0)
+    Super1q, ///< one PTM on qubit q0's coefficient quads
     Pair2q,  ///< one pass over 16-element groups of a qubit pair
 };
 
-/** Index permutation a Pair2q op applies to both halves of rho. */
+/** Pauli permutation a Pair2q op applies (conjugation by the gate). */
 enum class PairPerm : uint8_t
 {
     None,
@@ -82,12 +84,26 @@ enum class PairPerm : uint8_t
 PairPerm pairPerm(GateType t);
 
 /**
- * One op of the noisy density-matrix stream, which treats rho as a
- * 2n-bit vector. Super1q applies s0 to bits (n + q0, q0). Pair2q makes
- * one in-place pass over the 16-element groups on bits (n + q0, n + q1,
- * q0, q1): the pending superoperators s0 of q0 (when pre0) and s1 of
- * q1 (when pre1), then the permutation and two-qubit depolarizing with
- * probability depol (which commute).
+ * The image U P U^dag = sign * P' of a two-qubit Pauli under a Pair2q
+ * permutation. Pauli k = 8 x_a + 4 x_b + 2 z_a + z_b is sigma(x_a,
+ * z_a) (x) sigma(x_b, z_b), qubit a = q0 and b = q1, with
+ * sigma(x, z) = i^(x z) X^x Z^z (so sigma(1, 1) = Y).
+ */
+struct PauliImage
+{
+    int k;
+    int sign; ///< +1 or -1
+};
+PauliImage pairPauliImage(PairPerm perm, int k);
+
+/**
+ * One op of the noisy density-matrix stream over the Pauli
+ * coefficients. Super1q applies the PTM s0 to qubit q0. Pair2q makes
+ * one in-place pass over the 16-element groups of qubits (q0, q1): the
+ * pending PTMs s0 of q0 (when pre0) and s1 of q1 (when pre1), then the
+ * signed Pauli permutation and two-qubit depolarizing with probability
+ * depol, which scales the 15 non-identity pair Paulis by 1 - 16p/15
+ * (the two commute).
  */
 struct DmOp
 {
@@ -98,14 +114,17 @@ struct DmOp
     uint32_t q0 = 0;
     uint32_t q1 = 0;
     double depol = 0.0;
-    Mat4 s0{};
-    Mat4 s1{};
+    Ptm s0{};
+    Ptm s1{};
 };
 
 /**
- * Density operator on n qubits (n <= 13 supported; memory is 16 * 4^n
- * bytes). Index convention: element (i, j) = data[i * 2^n + j], where i
- * is the ket (row) index.
+ * Density operator on n qubits (n <= 13 supported; memory is 8 * 4^n
+ * bytes). Index convention: data[(x << n) | z] = Tr(sigma(x, z) rho),
+ * where qubit q owns bit q of the n-bit masks x and z and
+ * sigma(x, z) = prod_q i^(x_q z_q) X_q^(x_q) Z_q^(z_q) is the Hermitian
+ * Pauli with those masks (qubit q's x bit sits at position n + q of
+ * the index, its z bit at position q).
  */
 class DensityMatrix
 {
@@ -116,29 +135,23 @@ class DensityMatrix
     size_t nQubits() const { return n_; }
     size_t dim() const { return size_t{1} << n_; }
 
-    /** 64-byte-aligned row-major storage (see simd::AmpVector). */
-    const simd::AmpVector &data() const { return data_; }
+    /** 64-byte-aligned Pauli coefficients (see the class comment). */
+    const simd::RealVector &data() const { return data_; }
+
+    /**
+     * The operator in the computational basis: element (i, j) =
+     * <i|rho|j> at i * 2^n + j, i the ket (row) index. O(n 4^n).
+     */
+    std::vector<std::complex<double>> toMatrix() const;
 
     /** Reset to |0..0><0..0|. */
     void setZeroState();
 
-    /** Initialize from a pure state. */
+    /** Initialize from a pure state. O(n 4^n). */
     void setPureState(const Statevector &psi);
 
     /** Apply a one-qubit unitary. */
     void applyMatrix1q(const Mat2 &u, size_t q);
-
-    /**
-     * Apply a 4x4 unitary to the pair (qa, qb), qa indexing the high
-     * bit of the 4x4 basis (conjugation: ket side then bra side).
-     */
-    void applyMatrix2q(const Mat4 &u, size_t qa, size_t qb);
-
-    /** Apply a collapsed diagonal-gate run: rho_ij *= ph_i conj(ph_j). */
-    void applyDiagPhase(const DiagPhaseOp &d);
-
-    /** Conjugate by a collapsed X/CX/Swap basis permutation. */
-    void applyGf2Perm(const Gf2PermOp &p);
 
     /** Apply a unitary gate (Measure/Reset are channels; see below). */
     void applyGate(const Gate &g);
@@ -158,13 +171,10 @@ class DensityMatrix
 
     /**
      * Run all gates of a bound circuit (no gate noise; Measure/Reset
-     * execute as their channels). Compiles to the fused op stream
-     * first; repeat callers should compile once and use runCompiled().
+     * execute as their channels): the noisy stream of an empty noise
+     * spec.
      */
     void run(const Circuit &circuit);
-
-    /** Execute a pre-compiled op stream (the hot path). */
-    void runCompiled(const CompiledCircuit &compiled);
 
     // The channel methods below each run a one-op stream.
 
@@ -198,46 +208,45 @@ class DensityMatrix
     /** Reset channel: trace out q and re-prepare |0>. */
     void applyResetChannel(size_t q);
 
-    /** Tr(P rho) for a Hermitian Pauli. */
+    /**
+     * Tr(P rho): the coefficient at P's masks times the real part of
+     * i^(e - #Y) for P = i^e X^x Z^z (zero for a non-Hermitian P).
+     */
     double expectation(const PauliString &p) const;
 
     /** Tr(H rho). */
     double expectation(const Hamiltonian &h) const;
 
-    /**
-     * All term expectations of @p h, aligned with h.terms(). Terms are
-     * bucketed by X-mask; each bucket reads its off-diagonal band
-     * rho[i, i ^ x] once and reuses the element for every term in the
-     * bucket (one O(2^n) band traversal per bucket instead of one per
-     * term).
-     */
+    /** All term expectations of @p h, aligned with h.terms(): one
+     *  coefficient lookup per term. */
     std::vector<double> expectationBatch(const Hamiltonian &h) const;
 
-    /** Diagonal Tr projections: measurement probabilities per basis state. */
+    /**
+     * Measurement probabilities per basis state: a Walsh-Hadamard
+     * transform of the Z-type coefficients, roundoff negatives clamped
+     * to zero.
+     */
     std::vector<double> diagonalProbabilities() const;
 
-    /** Tr(rho); 1 up to roundoff for CPTP evolution. */
+    /** Tr(rho) = c_I; 1 up to roundoff for CPTP evolution. */
     double trace() const;
 
-    /** Tr(rho^2). */
+    /** Tr(rho^2) = 2^-n sum_P c_P^2. */
     double purity() const;
 
     /** <psi| rho |psi> — fidelity against a pure reference state. */
     double fidelityWithPure(const Statevector &psi) const;
 
-    /** Probability of measuring qubit q as 1. */
+    /** Probability of measuring qubit q as 1: (c_I - c_{Z_q}) / 2. */
     double probabilityOfOne(size_t q) const;
 
   private:
     size_t n_;
-    simd::AmpVector data_;
+    simd::RealVector data_;
     bool parallel_ = true;
 
     /** Parallel flag for this call: off inside a parallel region. */
     bool forkable() const;
-
-    void applySuper1q(const Mat4 &s, size_t q);
-    void applyPair2q(const DmOp &op);
 };
 
 } // namespace eftvqa

@@ -1,7 +1,7 @@
 /**
  * @file
- * Internal multi-lane signed-accumulation sweep shared by the dense
- * simulators' expectationBatch kernels, plus the bucket-sharding policy
+ * Internal multi-lane signed-accumulation sweep behind the
+ * statevector's expectationBatch, plus the bucket-sharding policy
  * that decides between amplitude-level and bucket-level parallelism.
  * Not part of the public API.
  */
@@ -43,9 +43,9 @@ struct SweepChunk
  * Chunk plan for expectationBatchSweep, memoized per Hamiltonian
  * content hash (GA/shot loops evaluate the same Hamiltonian thousands
  * of times; re-bucketing it each call is pure waste). The plan depends
- * only on the Hamiltonian, not on the backend or register size, so one
- * cache serves both dense simulators. Thread-safe; returns a shared
- * pointer so a concurrent eviction cannot free a plan in use.
+ * only on the Hamiltonian, not on the register size, so one cache
+ * serves every statevector. Thread-safe; returns a shared pointer so a
+ * concurrent eviction cannot free a plan in use.
  */
 std::shared_ptr<const std::vector<SweepChunk>>
 sweepChunkPlan(const Hamiltonian &h);
@@ -219,19 +219,8 @@ shouldShardBuckets(size_t n_chunks, size_t dim)
 #endif
 }
 
-/** Placeholder simd_chunk for callers without a vector sweep. */
-struct NoSimdSweep
-{
-    bool
-    operator()(uint64_t, size_t, const uint64_t *, bool, double *,
-               double *) const
-    {
-        return false;
-    }
-};
-
 /**
- * Shared expectationBatch driver for the dense simulators. Buckets the
+ * The statevector's expectationBatch driver. Buckets the
  * Hamiltonian's terms by X-mask, flattens the buckets into <=4-lane
  * chunks (independent traversals writing disjoint out[] slots), and
  * dispatches each chunk through the lane sweep — bucket-sharded across
@@ -252,12 +241,11 @@ struct NoSimdSweep
  *               (parity with the scalar reference is a tested <=1e-12
  *               contract, see simd.hpp).
  */
-template <class DiagLoad, class BandLoadFactory,
-          class SimdChunk = NoSimdSweep>
+template <class DiagLoad, class BandLoadFactory, class SimdChunk>
 std::vector<double>
 expectationBatchSweep(const Hamiltonian &h, size_t dim,
                       DiagLoad &&diag_load, BandLoadFactory &&band_load,
-                      SimdChunk &&simd_chunk = SimdChunk{})
+                      SimdChunk &&simd_chunk)
 {
     const auto &terms = h.terms();
     std::vector<double> out(terms.size(), 0.0);

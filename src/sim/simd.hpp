@@ -2,7 +2,8 @@
  * @file
  * Fixed-width SIMD lane layer for the dense simulators.
  *
- * A thin abstraction over interleaved complex<double> amplitudes:
+ * A thin abstraction over interleaved complex<double> amplitudes (and
+ * real doubles for the density matrix's Pauli coefficients):
  * AVX2 (2 complex lanes) or AVX-512 (4 complex lanes) intrinsics when
  * the CMake option EFTVQA_SIMD selects them, a std::experimental::simd
  * portable path otherwise, and a scalar build when vector lanes are
@@ -13,9 +14,9 @@
  *
  * Determinism contract
  * --------------------
- * Every elementwise kernel here (1q/2q unitaries and superoperators,
- * diagonal phase sweeps, xor-mask permutations, noisy Pair2q groups)
- * performs per-amplitude arithmetic in exactly the scalar operation
+ * Every elementwise kernel here (1q/2q unitaries, diagonal phase
+ * sweeps, xor-mask permutations, the density matrix's Quad and Pair
+ * passes) performs per-element arithmetic in exactly the scalar operation
  * order — complex multiplies are expanded to the same
  * (ar*br - ai*bi, ar*bi + ai*br) form std::complex uses, sums keep the
  * scalar association, and no FMA contraction is emitted (the kernels
@@ -34,6 +35,7 @@
 #ifndef EFTVQA_SIM_SIMD_HPP
 #define EFTVQA_SIM_SIMD_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <complex>
@@ -206,31 +208,6 @@ struct AlignedAllocator
 /** Amplitude storage of the dense simulators. */
 using AmpVector = std::vector<cd, AlignedAllocator<cd>>;
 
-/**
- * One Pair2q pass of the noisy density-matrix stream (see
- * sim/density_matrix.hpp). The vector is split into 16-element groups
- * that vary four bits; group-local element k = 8 ket_a + 4 ket_b +
- * 2 bra_a + bra_b is read at offset from[k] from the group base. Per
- * group, in order: the optional 4x4 superoperator pre_a on each
- * (ket_a, bra_a) quad and pre_b on each (ket_b, bra_b) quad; when
- * depol, v <- keep v plus quarter_mix (v0 + v5 + v10 + v15) on the
- * four pair-diagonal elements (mixing toward the pair-traced
- * diagonal); then element k is written at offset to[k], negated when
- * flip[k] (the pair's index permutation on both halves).
- */
-struct PairKernel
-{
-    uint64_t from[16] = {};
-    uint64_t to[16] = {};
-    bool flip[16] = {};
-    uint64_t pos[4] = {}; ///< the four varied bit positions, ascending
-    const Mat4 *pre_a = nullptr;
-    const Mat4 *pre_b = nullptr;
-    bool depol = false;
-    double keep = 1.0;
-    double quarter_mix = 0.0;
-};
-
 namespace detail {
 
 /** Insert a zero bit at position p (bits at and above p shift up). */
@@ -269,90 +246,6 @@ forSlices(size_t n_chunks, bool parallel, Fn &&fn,
     (void)parallel;
 #endif
     fn(0, n_chunks);
-}
-
-/** Group-local indices of the four (ket, bra) quads of each qubit,
- *  quad j over 4x4 basis index r = 2 ket + bra. */
-inline constexpr uint8_t kPairQuadA[4][4] = {
-    {0, 2, 8, 10}, {1, 3, 9, 11}, {4, 6, 12, 14}, {5, 7, 13, 15}};
-inline constexpr uint8_t kPairQuadB[4][4] = {
-    {0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15}};
-
-/** Group base of group index t: zeros inserted at the four bits. */
-inline uint64_t
-pairGroupBase(uint64_t t, const uint64_t (&pos)[4])
-{
-    for (const uint64_t p : pos)
-        t = insertZeroBit(t, p);
-    return t;
-}
-
-/** a * b in the expansion std::complex uses for finite operands (and
- *  the vector kernels repeat), without its NaN-recovery branch. */
-inline cd
-cmul(cd a, cd b)
-{
-    return {a.real() * b.real() - a.imag() * b.imag(),
-            a.real() * b.imag() + a.imag() * b.real()};
-}
-
-/** out[r] = sum_c m[4r + c] x[c] over the quad, left to right. */
-inline void
-quad4(cd *v, const cd *m, const uint8_t (&q)[4])
-{
-    const cd x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
-#pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r)
-        v[q[r]] = cmul(m[4 * r], x0) + cmul(m[4 * r + 1], x1) +
-                  cmul(m[4 * r + 2], x2) + cmul(m[4 * r + 3], x3);
-}
-
-/** Depolarizing and the permuted store of one group held in @p v.
- *  Never inlined, so a target-attributed caller whose ISA implies FMA
- *  cannot contract its mul/add pairs. */
-[[gnu::noinline]] inline void
-pairGroupTail(cd *v, cd *base, const PairKernel &k)
-{
-    if (k.depol) {
-        const cd t = (v[0] + v[5] + v[10] + v[15]) * k.quarter_mix;
-        for (int e = 0; e < 16; ++e)
-            v[e] = v[e] * k.keep;
-        for (const int e : {0, 5, 10, 15})
-            v[e] = v[e] + t;
-    }
-    for (int e = 0; e < 16; ++e)
-        base[k.to[e]] = k.flip[e] ? v[e] * -1.0 : v[e];
-}
-
-/** Scalar reference of the Pair2q pass over groups [g0, g1); the
- *  vector kernels repeat its per-element operation order. */
-inline void
-pairGroupsScalar(cd *data, size_t g0, size_t g1, const PairKernel &pk)
-{
-    const PairKernel k = pk; // locals: the stores below cannot alias
-    cd ma[16], mb[16];
-    for (int e = 0; e < 16; ++e) {
-        ma[e] = k.pre_a ? (*k.pre_a)[e] : cd{};
-        mb[e] = k.pre_b ? (*k.pre_b)[e] : cd{};
-    }
-    cd v[16];
-    for (size_t g = g0; g < g1; ++g) {
-        cd *base = data + pairGroupBase(g, k.pos);
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            v[e] = base[k.from[e]];
-        if (k.pre_a) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                quad4(v, ma, kPairQuadA[j]);
-        }
-        if (k.pre_b) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                quad4(v, mb, kPairQuadB[j]);
-        }
-        pairGroupTail(v, base, k);
-    }
 }
 
 #if defined(EFTVQA_SIMD_VECTOR)
@@ -956,34 +849,6 @@ kernScaleRun(cd *p, size_t n_chunks, double s)
         vstore(p + c * kLanes, vscale(vload(p + c * kLanes), s));
 }
 
-/** row[j] *= pi * conj(ph[j]) over whole chunks (density-matrix
- *  DiagPhase). */
-EFTVQA_SIMD_TARGET inline void
-kernRowScalePhase(cd *row, size_t n_chunks, cd pi, const cd *ph)
-{
-    const CVec pv = vbroadcast(pi);
-    for (size_t c = 0; c < n_chunks; ++c) {
-        const size_t j = c * kLanes;
-        const CVec w = vcmul(pv, vconj(vload(ph + j)));
-        vstore(row + j, vcmul(vload(row + j), w));
-    }
-}
-
-/** Density-matrix xor-mask row pair: swap row_i[c] with
- *  row_i2[c ^ f], all columns. */
-EFTVQA_SIMD_TARGET inline void
-kernXorRowsSwap(cd *row_i, cd *row_i2, size_t c0, size_t c1,
-                uint64_t f_hi, unsigned f_lo)
-{
-    for (size_t c = c0; c < c1; ++c) {
-        const size_t j = c * kLanes;
-        const CVec a = vload(row_i + j);
-        const CVec b = vload(row_i2 + (j ^ f_hi));
-        vstore(row_i + j, vlanePermuteXor(b, f_lo));
-        vstore(row_i2 + (j ^ f_hi), vlanePermuteXor(a, f_lo));
-    }
-}
-
 // ------------------------- sweep kernels ------------------------- //
 // Mask-parity sign-flip vectors instead of the scalar sweep's per-  //
 // amplitude popcount branch: per term, the within-chunk sign        //
@@ -1063,180 +928,6 @@ kernSweepSvBand(const cd *data, uint64_t start, size_t len, uint64_t xm,
         s.accumulate(i, z, vcmul(vconj(pv), v));
     }
     s.reduce(out);
-}
-
-/** Density-matrix diagonal bucket: sum_i (+-) Re(rho_ii). */
-EFTVQA_SIMD_TARGET inline void
-kernSweepDmDiag(const cd *data, size_t d, uint64_t start, size_t len,
-                size_t lanes, const uint64_t *z, cd *out)
-{
-    SweepAcc s;
-    s.init(lanes, z);
-    alignas(64) cd buf[kLanes];
-    for (uint64_t i = start; i < start + len; i += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l)
-            buf[l] = cd{data[(i + l) * d + (i + l)].real(), 0.0};
-        s.accumulate(i, z, vfromArray(buf));
-    }
-    s.reduce(out);
-}
-
-/** Density-matrix off-diagonal band: sum_i (+-) rho[i, i ^ xm]. */
-EFTVQA_SIMD_TARGET inline void
-kernSweepDmBand(const cd *data, size_t d, uint64_t start, size_t len,
-                uint64_t xm, size_t lanes, const uint64_t *z, cd *out)
-{
-    SweepAcc s;
-    s.init(lanes, z);
-    alignas(64) cd buf[kLanes];
-    for (uint64_t i = start; i < start + len; i += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l)
-            buf[l] = data[(i + l) * d + ((i + l) ^ xm)];
-        s.accumulate(i, z, vfromArray(buf));
-    }
-    s.reduce(out);
-}
-
-/** Pair2q quad: out[r] = sum_c u[4r + c] x[c], left to right. */
-EFTVQA_SIMD_TARGET inline void
-kernQuad4(CVec *v, const CVec *u, const uint8_t (&q)[4])
-{
-    const CVec x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
-#pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r)
-        v[q[r]] = vadd(vadd(vadd(vcmul(u[4 * r], x0),
-                                 vcmul(u[4 * r + 1], x1)),
-                            vcmul(u[4 * r + 2], x2)),
-                       vcmul(u[4 * r + 3], x3));
-}
-
-/** Pair2q pass, lowest varied bit >= lane width: chunk c holds groups
- *  [c kLanes, (c + 1) kLanes), adjacent in every one of the 16 slots. */
-EFTVQA_SIMD_TARGET inline void
-kernPair2q(cd *data, size_t c0, size_t c1, const PairKernel &pk)
-{
-    const PairKernel k = pk; // locals: the stores below cannot alias
-    CVec ua[16], ub[16];
-    for (int e = 0; e < 16; ++e) {
-        ua[e] = vbroadcast(k.pre_a ? (*k.pre_a)[e] : cd{});
-        ub[e] = vbroadcast(k.pre_b ? (*k.pre_b)[e] : cd{});
-    }
-    CVec v[16];
-    for (size_t c = c0; c < c1; ++c) {
-        cd *base = data + pairGroupBase(c * kLanes, k.pos);
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            v[e] = vload(base + k.from[e]);
-        if (k.pre_a) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                kernQuad4(v, ua, kPairQuadA[j]);
-        }
-        if (k.pre_b) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                kernQuad4(v, ub, kPairQuadB[j]);
-        }
-        if (k.depol) {
-            CVec t = vscale(vadd(vadd(vadd(v[0], v[5]), v[10]), v[15]),
-                            k.quarter_mix);
-            vopaque(t); // keep each mul and add unfused
-#pragma GCC unroll 16
-            for (int e = 0; e < 16; ++e)
-                v[e] = vscale(v[e], k.keep);
-            for (const int e : {0, 5, 10, 15}) {
-                vopaque(v[e]);
-                v[e] = vadd(v[e], t);
-            }
-        }
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            vstore(base + k.to[e], k.flip[e] ? vscale(v[e], -1.0) : v[e]);
-    }
-}
-
-/**
- * Pair2q pass when bit 0 is one of the four varied bits (the bra bit
- * of qubit a when lane_bit = 2, of qubit b when lane_bit = 1) and the
- * next one is at least log2(kLanes): each vector holds that bit's two
- * values for kLanes/2 adjacent groups, so a group lives in 8 vectors.
- * The pre-ops run in lanes; depolarizing and the permuted stores run
- * per group from a small buffer, in the scalar order.
- */
-EFTVQA_SIMD_TARGET inline void
-kernPair2qBit0(cd *data, size_t c0, size_t c1, const PairKernel &pk,
-               int lane_bit)
-{
-    const PairKernel k = pk; // locals: the stores below cannot alias
-    // Group element e lives in vector half(e), lane bit (e & lane_bit).
-    const auto half = [lane_bit](int e) {
-        return ((e >> 1) & ~(lane_bit - 1)) | (e & (lane_bit - 1));
-    };
-    const bool lane_is_a = lane_bit == 2;
-    // The lane qubit's four quads as (A, B) vector pairs; the other
-    // qubit's two lane-bit-0 quads as vector quads.
-    const uint8_t (*lane_quads)[4] = lane_is_a ? kPairQuadA : kPairQuadB;
-    const uint8_t (*other_quads)[4] = lane_is_a ? kPairQuadB : kPairQuadA;
-    uint8_t lq[4][2], oq[2][4];
-    for (int j = 0; j < 4; ++j) {
-        lq[j][0] = static_cast<uint8_t>(half(lane_quads[j][0]));
-        lq[j][1] = static_cast<uint8_t>(half(lane_quads[j][2]));
-    }
-    for (int j = 0; j < 2; ++j)
-        for (int r = 0; r < 4; ++r)
-            oq[j][r] = static_cast<uint8_t>(half(other_quads[2 * j][r]));
-    const Mat4 *lane_pre = lane_is_a ? k.pre_a : k.pre_b;
-    const Mat4 *other_pre = lane_is_a ? k.pre_b : k.pre_a;
-    CVec lp[8], ou[16];
-    if (lane_pre)
-        rowPairPatterns(*lane_pre, lp);
-    for (int e = 0; e < 16; ++e)
-        ou[e] = vbroadcast(other_pre ? (*other_pre)[e] : cd{});
-    const auto laneQuads = [&](CVec *w) {
-        for (int j = 0; j < 4; ++j)
-            kernPairQuad(w[lq[j][0]], w[lq[j][1]], lp);
-    };
-    const auto otherQuads = [&](CVec *w) {
-        for (int j = 0; j < 2; ++j)
-            kernQuad4(w, ou, oq[j]);
-    };
-    uint64_t from[8];
-    uint8_t slot[16];
-    for (int e = 0; e < 16; ++e) {
-        if (!(e & lane_bit))
-            from[half(e)] = k.from[e];
-        slot[e] = static_cast<uint8_t>(half(e) * kLanes +
-                                       ((e & lane_bit) ? 1 : 0));
-    }
-    CVec w[8];
-    cd buf[8 * kLanes];
-    cd v[16];
-    for (size_t c = c0; c < c1; ++c) {
-        cd *base = data + pairGroupBase(c * (kLanes / 2), k.pos);
-#pragma GCC unroll 8
-        for (int j = 0; j < 8; ++j)
-            w[j] = vload(base + from[j]);
-        if (k.pre_a) {
-            if (lane_is_a)
-                laneQuads(w);
-            else
-                otherQuads(w);
-        }
-        if (k.pre_b) {
-            if (lane_is_a)
-                otherQuads(w);
-            else
-                laneQuads(w);
-        }
-#pragma GCC unroll 8
-        for (int j = 0; j < 8; ++j)
-            vstore(buf + j * kLanes, w[j]);
-        for (size_t g = 0; g < kLanes / 2; ++g) {
-            for (int e = 0; e < 16; ++e)
-                v[e] = buf[slot[e] + 2 * g];
-            pairGroupTail(v, base + 2 * g, k);
-        }
-    }
 }
 
 #endif // EFTVQA_SIMD_VECTOR
@@ -1323,44 +1014,6 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
     (void)parallel;
     return false;
 #endif
-}
-
-/** Pair2q pass over [data, data + span) (always executes: vector
- *  lanes run across adjacent groups when the lowest varied bit is at
- *  least the lane width, the scalar reference otherwise). */
-inline void
-applyPair2q(cd *data, size_t span, const PairKernel &pk, bool parallel)
-{
-    const size_t groups = span / 16;
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (enabled() && (uint64_t{1} << pk.pos[0]) >= kLanes) {
-        detail::forSlices(
-            groups / kLanes, parallel,
-            [&](size_t c0, size_t c1) {
-                detail::kernPair2q(data, c0, c1, pk);
-            },
-            16 * kLanes);
-        return;
-    }
-    // Bit 0 is a bra bit (the from offsets of elements 1 and 2 are the
-    // bra_b and bra_a masks).
-    const int lane_bit = pk.from[1] == 1 ? 1 : pk.from[2] == 1 ? 2 : 0;
-    if (enabled() && lane_bit && (uint64_t{1} << pk.pos[1]) >= kLanes) {
-        detail::forSlices(
-            groups / (kLanes / 2), parallel,
-            [&](size_t c0, size_t c1) {
-                detail::kernPair2qBit0(data, c0, c1, pk, lane_bit);
-            },
-            8 * kLanes);
-        return;
-    }
-#endif
-    detail::forSlices(
-        groups, parallel,
-        [&](size_t g0, size_t g1) {
-            detail::pairGroupsScalar(data, g0, g1, pk);
-        },
-        16);
 }
 
 /** Contiguous-mask diagonal table multiply over [data, data + span);
@@ -1470,41 +1123,6 @@ zeroRun(cd *p, size_t n)
         p[i] = cd{0.0, 0.0};
 }
 
-/** row[j] *= pi * conj(ph[j]) over n columns. */
-inline void
-rowScalePhase(cd *row, size_t n, cd pi, const cd *ph)
-{
-    size_t j = 0;
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (enabled() && n >= kLanes) {
-        detail::kernRowScalePhase(row, n / kLanes, pi, ph);
-        j = (n / kLanes) * kLanes;
-    }
-#endif
-    for (; j < n; ++j)
-        row[j] *= pi * std::conj(ph[j]);
-}
-
-/** Density-matrix xor-mask row pair swap with column xor f < d. */
-inline bool
-tryXorRowsSwap(cd *row_i, cd *row_i2, size_t d, uint64_t f)
-{
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || d < kLanes)
-        return false;
-    detail::kernXorRowsSwap(row_i, row_i2, 0, d / kLanes,
-                            f & ~uint64_t{kLanes - 1},
-                            static_cast<unsigned>(f & (kLanes - 1)));
-    return true;
-#else
-    (void)row_i;
-    (void)row_i2;
-    (void)d;
-    (void)f;
-    return false;
-#endif
-}
-
 #if defined(EFTVQA_SIMD_VECTOR)
 namespace detail {
 
@@ -1588,41 +1206,710 @@ trySweepChunkSv(const cd *data, size_t dim, uint64_t xm, size_t lanes,
 #endif
 }
 
-/** Density-matrix expectation sweep chunk. */
-inline bool
-trySweepChunkDm(const cd *data, size_t d, uint64_t xm, size_t lanes,
-                const uint64_t *z, bool parallel, double *out_re,
-                double *out_im)
-{
+// ================================================================ //
+// Pauli-basis density-matrix stream (sim/density_matrix.hpp)        //
+// ================================================================ //
+// The density matrix holds its 4^n real Pauli coefficients. Every   //
+// stream pass is elementwise per quad or 16-element group: each     //
+// output is m[4r] x0 + m[4r+1] x1 + m[4r+2] x2 + m[4r+3] x3 summed  //
+// left to right, and a Pair pass ends with one multiply by a signed //
+// factor. The scalar reference fixes that order; the vector kernels //
+// repeat it lane by lane with explicit mul/add (never FMA), so every //
+// path, ISA and slicing of a pass gives the same bits.              //
+// ---------------------------------------------------------------- //
+
+/** Pauli-coefficient storage of the density matrix. */
+using RealVector = std::vector<double, AlignedAllocator<double>>;
+
 #if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || d < kLanes)
-        return false;
-    if (xm == 0)
-        detail::sweepSliced(d, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepDmDiag(data, d, start,
-                                                        len, lanes, z,
-                                                        out);
-                            });
-    else
-        detail::sweepSliced(d, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepDmBand(data, d, start,
-                                                        len, xm, lanes,
-                                                        z, out);
-                            });
-    return true;
+inline constexpr size_t kRealLanes = 2 * kLanes; ///< doubles per vector
 #else
-    (void)data;
-    (void)d;
-    (void)xm;
-    (void)lanes;
-    (void)z;
-    (void)parallel;
-    (void)out_re;
-    (void)out_im;
-    return false;
+inline constexpr size_t kRealLanes = 1;
 #endif
+inline constexpr unsigned kRealLaneBits = std::countr_zero(kRealLanes);
+
+/**
+ * A quad whose low bit lies inside a vector: it sits in a vector pair
+ * (high bit 0, high bit 1) and is resolved by lane duplication.
+ */
+struct LaneQuad
+{
+    uint8_t dup_lo[kRealLanes] = {}; ///< lane l <- l with the low bit 0
+    uint8_t dup_hi[kRealLanes] = {}; ///< lane l <- l with the low bit 1
+    /** pat[c][l] = m[4 r + c] and pat[4 + c][l] = m[4 (2 + r) + c],
+     *  r the low bit of lane l. */
+    alignas(64) double pat[8][kRealLanes] = {};
+};
+
+/**
+ * One pass of the Pauli-basis density-matrix stream over the real
+ * coefficient vector.
+ *
+ * Quad: the 4x4 matrix ma on every quad at bits (hi, lo), quad-local
+ * index r = 2 bit_hi + bit_lo: out[r] = sum_c ma[4r + c] x[c].
+ *
+ * Pair: 16-element groups that vary the bits pos[] (ascending). The
+ * group-local element k = 8 x_a + 4 x_b + 2 z_a + z_b is read at
+ * offset from[k] from the group base. Per group, in order: ma on each
+ * quad of qubit a (bits 8 and 2 of k) when pre_a, mb on each quad of
+ * qubit b (bits 4 and 1 of k) when pre_b, then element k is written
+ * at offset to[k] times fac[k].
+ *
+ * planPass() chooses the kernel and fills the fields below path.
+ */
+struct PauliPass
+{
+    enum class Kind : uint8_t
+    {
+        Quad,
+        Pair,
+    };
+    /** Scalar reference; Vector when every varied bit is at or above
+     *  the lane width; Lanes when only z bits fall inside a vector. */
+    enum class Path : uint8_t
+    {
+        Scalar,
+        Vector,
+        Lanes,
+    };
+
+    Kind kind = Kind::Quad;
+    uint64_t lo = 0, hi = 0;
+    uint64_t pos[4] = {};
+    uint64_t from[16] = {}, to[16] = {};
+    double fac[16] = {};
+    bool pre_a = false, pre_b = false;
+    double ma[16] = {}, mb[16] = {};
+
+    Path path = Path::Scalar;
+    size_t chunks = 0; ///< work units of the chosen path
+    // Lanes path: a chunk is nv vectors holding `groups` groups.
+    /** Group-local k bits inside a vector: 2 (z_a), 1 (z_b) or both. */
+    uint8_t lane_k = 0;
+    size_t nv = 0, groups = 0;
+    uint64_t vfrom[16] = {}; ///< load offset of vector j
+    uint64_t vto[16] = {};   ///< store offset of vector j (no scatter)
+    LaneQuad a, b; ///< Quad: a; Pair: the qubits whose z bit is in lanes
+    /** Some vector's lanes land in different vectors: store through
+     *  dst (per lane) instead of vto and perm. */
+    bool scatter = false;
+    uint8_t perm[16][kRealLanes] = {}; ///< out lane <- source lane
+    bool permuted[16] = {};
+    alignas(64) double fpat[16][kRealLanes] = {}; ///< fac per source lane
+    uint32_t dst[16 * kRealLanes] = {};
+};
+
+namespace detail {
+
+/** Group-local elements of each qubit's four quads, quad j in the
+ *  order r = 2 x + z. */
+inline constexpr uint8_t kPairQuadA[4][4] = {
+    {0, 2, 8, 10}, {1, 3, 9, 11}, {4, 6, 12, 14}, {5, 7, 13, 15}};
+inline constexpr uint8_t kPairQuadB[4][4] = {
+    {0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15}};
+
+/** Vector of group element e on the Lanes path: e with its lane k
+ *  bits @p lane_k squeezed out (vectors numbered in element order). */
+constexpr uint8_t
+laneVector(unsigned lane_k, int e)
+{
+    int j = 0, w = 0;
+    for (int b = 0; b < 4; ++b)
+        if (!(lane_k & (1u << b)))
+            j |= ((e >> b) & 1) << w++;
+    return static_cast<uint8_t>(j);
+}
+
+/** Group base of group index t: zeros inserted at the four bits. */
+inline uint64_t
+pairGroupBase(uint64_t t, const uint64_t (&pos)[4])
+{
+    for (const uint64_t p : pos)
+        t = insertZeroBit(t, p);
+    return t;
+}
+
+/** out[r] = sum_c m[4r + c] x[c] over group elements q, left to
+ *  right. */
+inline void
+quadScalar(double *v, const double *m, const uint8_t (&q)[4])
+{
+    const double x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r)
+        v[q[r]] = m[4 * r] * x0 + m[4 * r + 1] * x1 + m[4 * r + 2] * x2 +
+                  m[4 * r + 3] * x3;
+}
+
+/** Scalar reference of a Quad pass over quads [t0, t1). */
+inline void
+quadPassScalar(double *d, size_t t0, size_t t1, const PauliPass &p)
+{
+    double m[16];
+    std::copy(std::begin(p.ma), std::end(p.ma), m);
+    const uint64_t lo = p.lo, hi = p.hi;
+    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
+    double v[4];
+    for (size_t t = t0; t < t1; ++t) {
+        double *q = d + insertZeroBit(insertZeroBit(t, lo), hi);
+        v[0] = q[0];
+        v[1] = q[l];
+        v[2] = q[h];
+        v[3] = q[h | l];
+        quadScalar(v, m, {0, 1, 2, 3});
+        q[0] = v[0];
+        q[l] = v[1];
+        q[h] = v[2];
+        q[h | l] = v[3];
+    }
+}
+
+/** Scalar reference of a Pair pass over groups [g0, g1). */
+inline void
+pairPassScalar(double *d, size_t g0, size_t g1, const PauliPass &p)
+{
+    // Locals: the stores below cannot alias them.
+    double ma[16], mb[16], fac[16];
+    uint64_t from[16], to[16], pos[4];
+    std::copy(std::begin(p.ma), std::end(p.ma), ma);
+    std::copy(std::begin(p.mb), std::end(p.mb), mb);
+    std::copy(std::begin(p.fac), std::end(p.fac), fac);
+    std::copy(std::begin(p.from), std::end(p.from), from);
+    std::copy(std::begin(p.to), std::end(p.to), to);
+    std::copy(std::begin(p.pos), std::end(p.pos), pos);
+    const bool pre_a = p.pre_a, pre_b = p.pre_b;
+    double v[16];
+    for (size_t g = g0; g < g1; ++g) {
+        double *base = d + pairGroupBase(g, pos);
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            v[e] = base[from[e]];
+        if (pre_a) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                quadScalar(v, ma, kPairQuadA[j]);
+        }
+        if (pre_b) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                quadScalar(v, mb, kPairQuadB[j]);
+        }
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            base[to[e]] = v[e] * fac[e];
+    }
+}
+
+#if defined(EFTVQA_SIMD_VECTOR)
+
+// Real-lane primitives: RVec holds kRealLanes doubles, RIdx a lane
+// permutation (out lane l <- lane idx[l]).
+
+#if defined(EFTVQA_SIMD_ISA_AVX512)
+
+using RVec = __m512d;
+using RIdx = __m512i;
+
+EFTVQA_SIMD_TARGET inline RVec
+rload(const double *p)
+{
+    return _mm512_loadu_pd(p);
+}
+EFTVQA_SIMD_TARGET inline void
+rstore(double *p, RVec v)
+{
+    _mm512_storeu_pd(p, v);
+}
+EFTVQA_SIMD_TARGET inline RVec
+rset1(double x)
+{
+    return _mm512_set1_pd(x);
+}
+EFTVQA_SIMD_TARGET inline RVec
+radd(RVec a, RVec b)
+{
+    return _mm512_add_pd(a, b);
+}
+/** The product passes the vopaque barrier: no add can contract it
+ *  into an FMA. */
+EFTVQA_SIMD_TARGET inline RVec
+rmul(RVec a, RVec b)
+{
+    RVec t = _mm512_mul_pd(a, b);
+    vopaque(t);
+    return t;
+}
+EFTVQA_SIMD_TARGET inline RIdx
+ridx(const uint8_t *lanes)
+{
+    alignas(64) int64_t i[kRealLanes];
+    for (size_t l = 0; l < kRealLanes; ++l)
+        i[l] = lanes[l];
+    return _mm512_load_si512(i);
+}
+/** Two-source form with both sources v: the one-source permutexvar
+ *  trips GCC's maybe-uninitialized check on its undefined operand. */
+EFTVQA_SIMD_TARGET inline RVec
+rperm(RVec v, RIdx i)
+{
+    return _mm512_permutex2var_pd(v, i, v);
+}
+
+#elif defined(EFTVQA_SIMD_ISA_AVX2)
+
+using RVec = __m256d;
+using RIdx = __m256i; ///< 32-bit halves of each double lane
+
+EFTVQA_SIMD_TARGET inline RVec
+rload(const double *p)
+{
+    return _mm256_loadu_pd(p);
+}
+EFTVQA_SIMD_TARGET inline void
+rstore(double *p, RVec v)
+{
+    _mm256_storeu_pd(p, v);
+}
+EFTVQA_SIMD_TARGET inline RVec
+rset1(double x)
+{
+    return _mm256_set1_pd(x);
+}
+EFTVQA_SIMD_TARGET inline RVec
+radd(RVec a, RVec b)
+{
+    return _mm256_add_pd(a, b);
+}
+EFTVQA_SIMD_TARGET inline RVec
+rmul(RVec a, RVec b)
+{
+    return _mm256_mul_pd(a, b);
+}
+EFTVQA_SIMD_TARGET inline RIdx
+ridx(const uint8_t *lanes)
+{
+    alignas(32) int32_t i[2 * kRealLanes];
+    for (size_t l = 0; l < kRealLanes; ++l) {
+        i[2 * l] = 2 * lanes[l];
+        i[2 * l + 1] = 2 * lanes[l] + 1;
+    }
+    return _mm256_load_si256(reinterpret_cast<const __m256i *>(i));
+}
+EFTVQA_SIMD_TARGET inline RVec
+rperm(RVec v, RIdx i)
+{
+    return _mm256_castps_pd(
+        _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), i));
+}
+
+#else // EFTVQA_SIMD_GENERIC_ACTIVE
+
+using RVec = stdx::fixed_size_simd<double, int(kRealLanes)>;
+struct RIdx
+{
+    uint8_t lane[kRealLanes];
+};
+
+inline RVec
+rload(const double *p)
+{
+    return RVec(p, stdx::element_aligned);
+}
+inline void
+rstore(double *p, RVec v)
+{
+    v.copy_to(p, stdx::element_aligned);
+}
+inline RVec
+rset1(double x)
+{
+    return RVec(x);
+}
+inline RVec
+radd(RVec a, RVec b)
+{
+    return a + b;
+}
+inline RVec
+rmul(RVec a, RVec b)
+{
+    return a * b;
+}
+inline RIdx
+ridx(const uint8_t *lanes)
+{
+    RIdx i;
+    std::copy(lanes, lanes + kRealLanes, i.lane);
+    return i;
+}
+inline RVec
+rperm(RVec v, RIdx i)
+{
+    double in[kRealLanes], out[kRealLanes];
+    v.copy_to(in, stdx::element_aligned);
+    for (size_t l = 0; l < kRealLanes; ++l)
+        out[l] = in[i.lane[l]];
+    return RVec(out, stdx::element_aligned);
+}
+
+#endif // real-lane primitives
+
+/** A quad held in four vectors, one per r. */
+EFTVQA_SIMD_TARGET inline void
+rquad(RVec *v, const RVec *m, const uint8_t *q)
+{
+    const RVec x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r)
+        v[q[r]] = radd(radd(radd(rmul(m[4 * r], x0), rmul(m[4 * r + 1], x1)),
+                            rmul(m[4 * r + 2], x2)),
+                       rmul(m[4 * r + 3], x3));
+}
+
+/** A quad split by its low bit across the lanes of two vectors: a
+ *  holds r = 0, 1 and b holds r = 2, 3 (see LaneQuad::pat). */
+EFTVQA_SIMD_TARGET inline void
+rquadLanes(RVec &a, RVec &b, const RVec *pat, RIdx lo, RIdx hi)
+{
+    const RVec a0 = rperm(a, lo), a1 = rperm(a, hi);
+    const RVec b0 = rperm(b, lo), b1 = rperm(b, hi);
+    a = radd(radd(radd(rmul(pat[0], a0), rmul(pat[1], a1)),
+                  rmul(pat[2], b0)),
+             rmul(pat[3], b1));
+    b = radd(radd(radd(rmul(pat[4], a0), rmul(pat[5], a1)),
+                  rmul(pat[6], b0)),
+             rmul(pat[7], b1));
+}
+
+/** Quad pass, both bits at or above the lane width: chunk c holds
+ *  quads [c kRealLanes, (c + 1) kRealLanes). */
+EFTVQA_SIMD_TARGET inline void
+kernQuadVector(double *d, size_t c0, size_t c1, const PauliPass &p)
+{
+    RVec m[16];
+    for (int e = 0; e < 16; ++e)
+        m[e] = rset1(p.ma[e]);
+    const uint64_t lo = p.lo, hi = p.hi;
+    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
+    static constexpr uint8_t kQuad[4] = {0, 1, 2, 3};
+    RVec v[4];
+    for (size_t c = c0; c < c1; ++c) {
+        double *q = d + insertZeroBit(insertZeroBit(c * kRealLanes, lo), hi);
+        v[0] = rload(q);
+        v[1] = rload(q + l);
+        v[2] = rload(q + h);
+        v[3] = rload(q + (h | l));
+        rquad(v, m, kQuad);
+        rstore(q, v[0]);
+        rstore(q + l, v[1]);
+        rstore(q + h, v[2]);
+        rstore(q + (h | l), v[3]);
+    }
+}
+
+/** Quad pass with the low bit inside a vector and the high bit above
+ *  the lane width. */
+EFTVQA_SIMD_TARGET inline void
+kernQuadLanes(double *d, size_t c0, size_t c1, const PauliPass &p)
+{
+    RVec pat[8];
+    for (int k = 0; k < 8; ++k)
+        pat[k] = rload(p.a.pat[k]);
+    const RIdx lo = ridx(p.a.dup_lo), hi = ridx(p.a.dup_hi);
+    const uint64_t top = p.hi;
+    const uint64_t h = uint64_t{1} << top;
+    for (size_t c = c0; c < c1; ++c) {
+        double *q = d + insertZeroBit(c * kRealLanes, top);
+        RVec a = rload(q), b = rload(q + h);
+        rquadLanes(a, b, pat, lo, hi);
+        rstore(q, a);
+        rstore(q + h, b);
+    }
+}
+
+/** Pair pass, every varied bit at or above the lane width: chunk c
+ *  holds groups [c kRealLanes, (c + 1) kRealLanes), adjacent in each
+ *  of the 16 slots. */
+EFTVQA_SIMD_TARGET inline void
+kernPairVector(double *d, size_t c0, size_t c1, const PauliPass &p)
+{
+    // Locals: the stores below cannot alias them.
+    uint64_t from[16], to[16], pos[4];
+    RVec ma[16], mb[16], f[16];
+    for (int e = 0; e < 16; ++e) {
+        from[e] = p.from[e];
+        to[e] = p.to[e];
+        ma[e] = rset1(p.ma[e]);
+        mb[e] = rset1(p.mb[e]);
+        f[e] = rset1(p.fac[e]);
+    }
+    for (int j = 0; j < 4; ++j)
+        pos[j] = p.pos[j];
+    const bool pre_a = p.pre_a, pre_b = p.pre_b;
+    RVec v[16];
+    for (size_t c = c0; c < c1; ++c) {
+        double *base = d + pairGroupBase(c * kRealLanes, pos);
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            v[e] = rload(base + from[e]);
+        if (pre_a) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                rquad(v, ma, kPairQuadA[j]);
+        }
+        if (pre_b) {
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                rquad(v, mb, kPairQuadB[j]);
+        }
+#pragma GCC unroll 16
+        for (int e = 0; e < 16; ++e)
+            rstore(base + to[e], rmul(v[e], f[e]));
+    }
+}
+
+/** One qubit's quads of a Lanes-path chunk: vector pairs when its z
+ *  bit is in lanes, vector quads otherwise; quads that differ only in
+ *  the other qubit's lane bit share their vectors. */
+template <unsigned kLaneK, bool kInLanes, bool kOtherInLanes>
+EFTVQA_SIMD_TARGET inline void
+laneQuads(RVec *w, const uint8_t (&quads)[4][4], const RVec *m,
+          const RVec *pat, RIdx lo, RIdx hi)
+{
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; j += kOtherInLanes ? 2 : 1) {
+        const uint8_t *q = quads[j];
+        if constexpr (kInLanes) {
+            rquadLanes(w[laneVector(kLaneK, q[0])],
+                       w[laneVector(kLaneK, q[2])], pat, lo, hi);
+        } else {
+            const uint8_t v[4] = {
+                laneVector(kLaneK, q[0]), laneVector(kLaneK, q[1]),
+                laneVector(kLaneK, q[2]), laneVector(kLaneK, q[3])};
+            rquad(w, m, v);
+        }
+    }
+}
+
+/** Pair pass whose z bits kLaneK (group-local: 2 for z_a, 1 for z_b)
+ *  fall inside a vector, x bits above the lane width (see PauliPass's
+ *  Lanes fields). */
+template <unsigned kLaneK>
+EFTVQA_SIMD_TARGET inline void
+kernPairLanes(double *d, size_t c0, size_t c1, const PauliPass &pp)
+{
+    constexpr int kNv = 16 >> std::popcount(kLaneK);
+    constexpr bool kA = kLaneK & 2, kB = kLaneK & 1;
+    const PauliPass p = pp; // locals: the stores below cannot alias it
+    RVec ma[16], mb[16], pa[8], pb[8], f[kNv];
+    RIdx perm[kNv];
+    for (int e = 0; e < 16; ++e) {
+        ma[e] = rset1(p.ma[e]);
+        mb[e] = rset1(p.mb[e]);
+    }
+    for (int k = 0; k < 8; ++k) {
+        pa[k] = rload(p.a.pat[k]);
+        pb[k] = rload(p.b.pat[k]);
+    }
+    const RIdx alo = ridx(p.a.dup_lo), ahi = ridx(p.a.dup_hi);
+    const RIdx blo = ridx(p.b.dup_lo), bhi = ridx(p.b.dup_hi);
+    for (int j = 0; j < kNv; ++j) {
+        f[j] = rload(p.fpat[j]);
+        perm[j] = ridx(p.perm[j]);
+    }
+    RVec w[kNv];
+    alignas(64) double buf[kNv * kRealLanes];
+    for (size_t c = c0; c < c1; ++c) {
+        double *base = d + pairGroupBase(c * p.groups, p.pos);
+#pragma GCC unroll 16
+        for (int j = 0; j < kNv; ++j)
+            w[j] = rload(base + p.vfrom[j]);
+        if (p.pre_a)
+            laneQuads<kLaneK, kA, kB>(w, kPairQuadA, ma, pa, alo, ahi);
+        if (p.pre_b)
+            laneQuads<kLaneK, kB, kA>(w, kPairQuadB, mb, pb, blo, bhi);
+#pragma GCC unroll 16
+        for (int j = 0; j < kNv; ++j)
+            w[j] = rmul(w[j], f[j]);
+        if (!p.scatter) {
+#pragma GCC unroll 16
+            for (int j = 0; j < kNv; ++j)
+                rstore(base + p.vto[j],
+                       p.permuted[j] ? rperm(w[j], perm[j]) : w[j]);
+            continue;
+        }
+#pragma GCC unroll 16
+        for (int j = 0; j < kNv; ++j)
+            rstore(buf + j * kRealLanes, w[j]);
+        for (size_t s = 0; s < kNv * kRealLanes; ++s)
+            base[p.dst[s]] = buf[s];
+    }
+}
+
+#endif // EFTVQA_SIMD_VECTOR
+
+/** Fill @p s for a quad of matrix @p m whose low bit is lane bit
+ *  @p bit. */
+inline void
+fillLaneQuad(LaneQuad &s, const double *m, unsigned bit)
+{
+    for (size_t l = 0; l < kRealLanes; ++l) {
+        const size_t r = (l >> bit) & 1;
+        s.dup_lo[l] = static_cast<uint8_t>(l & ~(size_t{1} << bit));
+        s.dup_hi[l] = static_cast<uint8_t>(l | (size_t{1} << bit));
+        for (int c = 0; c < 4; ++c) {
+            s.pat[c][l] = m[4 * r + c];
+            s.pat[4 + c][l] = m[4 * (2 + r) + c];
+        }
+    }
+}
+
+/** Lane layout of a Pair pass whose z bits (not x bits) may fall
+ *  inside a vector. */
+inline void
+planPairLanes(PauliPass &p, size_t size)
+{
+    constexpr uint64_t kLaneMask = kRealLanes - 1;
+    // Qubit a's z bit is the group's bit 2 (offset from[2]), b's is
+    // bit 1; only z bits reach this path.
+    const auto za = static_cast<unsigned>(std::countr_zero(p.from[2]));
+    const auto zb = static_cast<unsigned>(std::countr_zero(p.from[1]));
+    p.lane_k = static_cast<uint8_t>((za < kRealLaneBits ? 2 : 0) |
+                                    (zb < kRealLaneBits ? 1 : 0));
+    const uint64_t low = p.from[p.lane_k]; // the lane bits' offsets
+    p.nv = size_t{16} >> std::popcount(p.lane_k);
+    p.groups = kRealLanes >> std::popcount(p.lane_k);
+    p.chunks = size / 16 / p.groups;
+    if (p.lane_k & 2)
+        fillLaneQuad(p.a, p.ma, za);
+    if (p.lane_k & 1)
+        fillLaneQuad(p.b, p.mb, zb);
+
+    // Vector j of a chunk holds one pattern of the varied bits above
+    // the lanes; element e sits in vector vec[e] at lane from[e] & mask.
+    uint8_t vec[16];
+    for (int e = 0; e < 16; ++e) {
+        vec[e] = laneVector(p.lane_k, e);
+        p.vfrom[vec[e]] = p.from[e] & ~kLaneMask;
+    }
+
+    p.scatter = false;
+    for (size_t j = 0; j < p.nv; ++j) {
+        bool same = true;
+        for (uint64_t l = 0; l < kRealLanes; ++l) {
+            int e = 0;
+            while (vec[e] != j || (p.from[e] & kLaneMask) != (l & low))
+                ++e;
+            const uint64_t dest = p.to[e] | (l & ~low);
+            p.fpat[j][l] = p.fac[e];
+            p.dst[j * kRealLanes + l] = static_cast<uint32_t>(dest);
+            p.perm[j][dest & kLaneMask] = static_cast<uint8_t>(l);
+            if (l == 0)
+                p.vto[j] = dest & ~kLaneMask;
+            same = same && (dest & ~kLaneMask) == p.vto[j];
+        }
+        p.scatter = p.scatter || !same;
+        p.permuted[j] = false;
+        for (uint64_t l = 0; l < kRealLanes; ++l)
+            p.permuted[j] = p.permuted[j] || p.perm[j][l] != l;
+    }
+}
+
+/** Run pass @p p over its work units [c0, c1). */
+inline void
+runPass(double *d, const PauliPass &p, size_t c0, size_t c1)
+{
+    const bool quad = p.kind == PauliPass::Kind::Quad;
+#if defined(EFTVQA_SIMD_VECTOR)
+    using Path = PauliPass::Path;
+    if (p.path == Path::Vector) {
+        quad ? kernQuadVector(d, c0, c1, p) : kernPairVector(d, c0, c1, p);
+        return;
+    }
+    if (p.path == Path::Lanes) {
+        if (quad)
+            kernQuadLanes(d, c0, c1, p);
+        else if (p.lane_k == 1)
+            kernPairLanes<1>(d, c0, c1, p);
+        else if (p.lane_k == 2)
+            kernPairLanes<2>(d, c0, c1, p);
+        else
+            kernPairLanes<3>(d, c0, c1, p);
+        return;
+    }
+#endif
+    quad ? quadPassScalar(d, c0, c1, p) : pairPassScalar(d, c0, c1, p);
+}
+
+} // namespace detail
+
+/**
+ * Choose the kernel of @p p for a coefficient vector of @p size
+ * doubles: the vector paths when the lanes are on and the pass's x
+ * bits lie at or above the lane width, the scalar reference otherwise
+ * (always when the dispatch is pinned to scalar).
+ */
+inline void
+planPass(PauliPass &p, size_t size)
+{
+    using Path = PauliPass::Path;
+    const bool vec = enabled();
+    if (p.kind == PauliPass::Kind::Quad) {
+        if (vec && p.lo >= kRealLaneBits) {
+            p.path = Path::Vector;
+            p.chunks = size / 4 / kRealLanes;
+        } else if (vec && p.hi >= kRealLaneBits) {
+            p.path = Path::Lanes;
+            p.chunks = size / 2 / kRealLanes;
+            detail::fillLaneQuad(p.a, p.ma, static_cast<unsigned>(p.lo));
+        } else {
+            p.path = Path::Scalar;
+            p.chunks = size / 4;
+        }
+        return;
+    }
+    if (vec && p.pos[0] >= kRealLaneBits) {
+        p.path = Path::Vector;
+        p.chunks = size / 16 / kRealLanes;
+    } else if (vec && p.pos[2] >= kRealLaneBits) {
+        p.path = Path::Lanes;
+        detail::planPairLanes(p, size);
+    } else {
+        p.path = Path::Scalar;
+        p.chunks = size / 16;
+    }
+}
+
+/**
+ * Run @p passes in order over [data, data + size). A large vector
+ * runs them in one OpenMP region with a barrier after each pass; each
+ * thread takes a fixed slice of every pass, and passes are elementwise,
+ * so the bits never depend on the thread count.
+ */
+inline void
+runPauliStream(double *data, size_t size,
+               const std::vector<PauliPass> &passes, bool parallel)
+{
+#ifdef _OPENMP
+    if (parallel && size >= kParallelGrainAmps && omp_get_max_threads() > 1) {
+#pragma omp parallel
+        {
+            const auto t = static_cast<size_t>(omp_get_thread_num());
+            const auto nt = static_cast<size_t>(omp_get_num_threads());
+            for (const PauliPass &p : passes) {
+                detail::runPass(data, p, p.chunks * t / nt,
+                                p.chunks * (t + 1) / nt);
+#pragma omp barrier
+            }
+        }
+        return;
+    }
+#else
+    (void)size;
+    (void)parallel;
+#endif
+    for (const PauliPass &p : passes)
+        detail::runPass(data, p, 0, p.chunks);
 }
 
 } // namespace simd

@@ -118,16 +118,17 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
     if (config_.cache_capacity > 0)
         energy_cache_ =
             std::make_shared<SharedEnergyCache>(config_.cache_capacity);
-    // The compiled pipeline serves the dense noiseless substrates: the
-    // tableau substrate executes the source gate list either way, the
-    // compiler caps at 64 qubits (the 100+-qubit Clifford sweeps stay
-    // on the gate-by-gate path), and a density matrix under gate noise
-    // compiles its own noisy superoperator stream from the source gate
-    // list (compileNoisyStream) — a CompiledCircuit for those engines
-    // would just fill the memo with streams nothing executes.
+    // The compiled pipeline serves the statevector: the tableau
+    // substrate executes the source gate list either way, the compiler
+    // caps at 64 qubits (the 100+-qubit Clifford sweeps stay on the
+    // gate-by-gate path), and a density matrix, noisy or not, compiles
+    // its own Pauli-basis stream from the source gate list
+    // (compileNoisyStream) — a CompiledCircuit for those engines would
+    // just fill the memo with streams nothing executes.
     use_compiled_pipeline_ =
         config_.compile_cache_capacity > 0 &&
         config_.backend != sim::BackendKind::Tableau &&
+        config_.backend != sim::BackendKind::DensityMatrix &&
         ham_.nQubits() <= 64 &&
         !(config_.noise && config_.noise->hasDmNoise());
     if (use_compiled_pipeline_)

@@ -141,8 +141,9 @@ struct EstimationConfig
      * unlike the energy cache — this memo never changes results and
      * is on by default; GA re-evaluations and shot loops skip
      * recompilation entirely. 0 disables it (every prepare recompiles
-     * inside the backend). Only consulted for dense substrates on
-     * registers the compiler supports (<= 64 qubits).
+     * inside the backend). Only consulted for engines that can reach
+     * the statevector (Statevector, Auto) on registers the compiler
+     * supports (<= 64 qubits).
      */
     size_t compile_cache_capacity = 256;
 

@@ -9,7 +9,7 @@ namespace eftvqa {
 
 namespace detail {
 std::atomic<bool> g_faults_armed{false};
-thread_local const CancelToken *t_active_cancel = nullptr;
+constinit thread_local const CancelToken *t_active_cancel = nullptr;
 } // namespace detail
 
 namespace {

@@ -275,7 +275,7 @@ class CancelToken
 
 namespace detail {
 /** The calling thread's active cancel token (see CancelScope). */
-extern thread_local const CancelToken *t_active_cancel;
+extern constinit thread_local const CancelToken *t_active_cancel;
 } // namespace detail
 
 /**

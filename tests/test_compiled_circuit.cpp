@@ -78,18 +78,19 @@ statevectorParityError(const Circuit &c)
     return err;
 }
 
+/** Max |Pauli coefficient difference| between the density matrix's
+ *  fused run() stream and the naive gate-by-gate reference. */
 double
 densityMatrixParityError(const Circuit &c)
 {
-    DensityMatrix compiled(c.nQubits());
-    compiled.run(c);
+    DensityMatrix fused(c.nQubits());
+    fused.run(c);
     DensityMatrix naive(c.nQubits());
     for (const auto &g : c.gates())
         naive.applyGate(g);
     double err = 0.0;
-    for (size_t i = 0; i < compiled.data().size(); ++i)
-        err = std::max(err,
-                       std::abs(compiled.data()[i] - naive.data()[i]));
+    for (size_t i = 0; i < fused.data().size(); ++i)
+        err = std::max(err, std::abs(fused.data()[i] - naive.data()[i]));
     return err;
 }
 
@@ -155,8 +156,8 @@ TEST(CompiledCircuit, EmptyAndSingleGateCircuits)
 TEST(CompiledCircuit, MeasureResetChannelsOnDensityMatrix)
 {
     // Randomized unitaries with interleaved measure/reset barriers:
-    // the compiled stream must execute the same channels in the same
-    // per-qubit order as the gate-by-gate path.
+    // the fused density-matrix stream must execute the same channels in
+    // the same per-qubit order as the gate-by-gate path.
     Rng rng(11);
     for (uint64_t seed = 0; seed < 4; ++seed) {
         Circuit c(3);
@@ -474,8 +475,10 @@ TEST(CompiledCircuit, EngineCompileMemoEvictsLeastRecent)
 
 TEST(CompiledCircuit, GeneralPermutationOnDensityMatrixIsInPlaceExact)
 {
-    // A CX cascade compiles to a General-class Gf2Perm; the density
-    // matrix applies it by cycle-walking rows and columns in place.
+    // A CX cascade compiles to a General-class Gf2Perm for the
+    // statevector; the density matrix runs the same gates as signed
+    // Pauli permutations in its fused stream, in place, and must match
+    // its gate-by-gate application.
     Circuit c(4);
     c.h(0);
     c.ry(2, 0.6);

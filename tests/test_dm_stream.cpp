@@ -4,10 +4,12 @@
  * DensityMatrix::execute) against two oracles:
  *
  *  - a test-only gate-by-gate reference: the ASAP-layered loop that
- *    applied every gate, every trailing channel and every idle slot as
+ *    applies every gate, every trailing channel and every idle slot as
  *    its own pass, with its own hand-written kernels on a plain
- *    row-major matrix (kept as a parity pin for one release, then
- *    retired);
+ *    row-major matrix in the computational basis. It shares no code
+ *    with the Pauli-basis simulator, so it stays as the oracle that
+ *    pins the basis change, the transfer matrices and the Pauli
+ *    permutation signs together;
  *  - the tableau trajectory farm on random Clifford circuits with
  *    Pauli-only noise, whose mean energy must agree with the stream's
  *    exact energy within 4 sigma of the trajectory spread.
@@ -343,15 +345,17 @@ TEST(DmStream, MatchesGateByGateReferenceOnRandomCircuits)
                 DensityMatrix rho(n);
                 runNoisyDensityMatrix(c, specs[s], rho);
 
+                // Compared in the computational basis.
+                const std::vector<cd> m = rho.toMatrix();
                 double err = 0.0, herm = 0.0;
                 const size_t d = rho.dim();
                 for (size_t i = 0; i < d; ++i)
                     for (size_t j = 0; j < d; ++j) {
-                        const cd v = rho.data()[i * d + j];
+                        const cd v = m[i * d + j];
                         err = std::max(err,
                                        std::abs(v - ref.data()[i * d + j]));
-                        herm = std::max(
-                            herm, std::abs(v - std::conj(rho.data()[j * d + i])));
+                        herm = std::max(herm,
+                                        std::abs(v - std::conj(m[j * d + i])));
                     }
                 EXPECT_LE(err, 1e-12)
                     << "n=" << n << " seed=" << seed << " spec=" << names[s];

@@ -332,7 +332,7 @@ TEST(FaultResource, InjectedBadAllocBecomesStructuredResourceError)
         FAIL() << "expected the injected bad_alloc to surface";
     } catch (const ResourceError &e) {
         EXPECT_EQ(e.qubits(), 3u);
-        EXPECT_EQ(e.bytes(), 64u * sizeof(std::complex<double>));
+        EXPECT_EQ(e.bytes(), 64u * sizeof(double)); // 4^3 Pauli coefficients
         EXPECT_NE(std::string(e.what()).find("DensityMatrix"),
                   std::string::npos);
     }

@@ -97,8 +97,9 @@ randomU4(uint64_t seed)
     return matmul4(cz, kron2q(randomU2(seed), randomU2(seed + 101)));
 }
 
+template <class Vec>
 double
-maxAbsDiff(const simd::AmpVector &a, const simd::AmpVector &b)
+maxAbsDiff(const Vec &a, const Vec &b)
 {
     EXPECT_EQ(a.size(), b.size());
     double m = 0.0;
@@ -269,7 +270,14 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
         rho.applyResetChannel(2);
         rho.applyMeasurementDephase(3);
         rho.applyKraus1q(depolarizingChannel(0.02), 4);
-        rho.applyMatrix2q(randomU4(77), 5, 0);
+        // Entangling pair ops through both qubit orders and the lane
+        // bits (q in {0, 1}), with 1q gates between them.
+        rho.applyGate(Gate(GateType::CX, 5, 0));
+        rho.applyMatrix1q(randomU2(77), 0);
+        rho.applyGate(Gate(GateType::CZ, 0, 5));
+        rho.applyMatrix1q(randomU2(78), 5);
+        rho.applyGate(Gate(GateType::Swap, 1, 5));
+        rho.applyDepolarizing2q(0.03, 1, 0);
     };
     DensityMatrix ref(static_cast<size_t>(n));
     DensityMatrix vec(static_cast<size_t>(n));
@@ -309,55 +317,66 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
 
 TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
 {
-    // Every qubit pair in both orders (bit 0 in the group, bit 0 as
-    // either pair's bra bit, both bits above the lanes), every
+    // n = 1..6: every qubit pair in both orders (z bits inside a vector
+    // for q in {0, 1}, and x bits inside one for n <= 2), every
     // permutation, with and without pre-ops and depolarizing, plus a
     // Super1q on every qubit: the vector stream kernels must reproduce
     // the scalar reference bit for bit.
-    const size_t n = 5;
-    std::vector<DmOp> ops;
-    uint64_t seed = 1;
-    for (uint32_t a = 0; a < n; ++a)
-        for (uint32_t b = 0; b < n; ++b) {
-            if (a == b)
-                continue;
-            for (const PairPerm perm : {PairPerm::None, PairPerm::CX,
-                                        PairPerm::CZ, PairPerm::Swap}) {
-                DmOp op;
-                op.kind = DmOpKind::Pair2q;
-                op.perm = perm;
-                op.q0 = a;
-                op.q1 = b;
-                op.pre0 = seed % 2 == 0;
-                op.pre1 = seed % 3 != 0;
-                op.s0 = superop::then(superop::conjugation(randomU2(seed)),
-                                      superop::amplitudeDamping(0.1));
-                op.s1 = superop::conjugation(randomU2(seed + 7));
-                op.depol = seed % 4 == 0 ? 0.0 : 0.05;
-                ops.push_back(op);
-                ++seed;
+    for (size_t n = 1; n <= 6; ++n) {
+        std::vector<DmOp> ops;
+        uint64_t seed = 1;
+        for (uint32_t a = 0; a < n; ++a)
+            for (uint32_t b = 0; b < n; ++b) {
+                if (a == b)
+                    continue;
+                for (const PairPerm perm : {PairPerm::None, PairPerm::CX,
+                                            PairPerm::CZ, PairPerm::Swap}) {
+                    DmOp op;
+                    op.kind = DmOpKind::Pair2q;
+                    op.perm = perm;
+                    op.q0 = a;
+                    op.q1 = b;
+                    op.pre0 = seed % 2 == 0;
+                    op.pre1 = seed % 3 != 0;
+                    op.s0 = superop::then(superop::conjugation(randomU2(seed)),
+                                          superop::amplitudeDamping(0.1));
+                    op.s1 = superop::conjugation(randomU2(seed + 7));
+                    op.depol = seed % 4 == 0 ? 0.0 : 0.05;
+                    ops.push_back(op);
+                    ++seed;
+                }
             }
+        for (uint32_t q = 0; q < n; ++q) {
+            DmOp op;
+            op.q0 = q;
+            op.s0 = superop::then(superop::conjugation(randomU2(50 + q)),
+                                  superop::thermalRelaxation(100, 80, 30));
+            ops.push_back(op);
         }
-    for (uint32_t q = 0; q < n; ++q) {
-        DmOp op;
-        op.q0 = q;
-        op.s0 = superop::then(superop::conjugation(randomU2(50 + q)),
-                              superop::thermalRelaxation(100, 80, 30));
-        ops.push_back(op);
+        DensityMatrix ref(n), vec(n);
+        ref.setPureState(randomState(n, 3 + n));
+        vec.setPureState(randomState(n, 3 + n));
+        {
+            SimdModeGuard off(0);
+            ref.execute(ops);
+        }
+        vec.execute(ops);
+        ASSERT_EQ(ref.data().size(), vec.data().size());
+        EXPECT_EQ(std::memcmp(ref.data().data(), vec.data().data(),
+                              ref.data().size() * sizeof(double)),
+                  0)
+            << "n=" << n;
+        EXPECT_NEAR(vec.trace(), 1.0, 1e-12) << "n=" << n;
     }
-    DensityMatrix ref(n), vec(n);
-    ref.setPureState(randomState(n, 3));
-    vec.setPureState(randomState(n, 3));
-    {
-        SimdModeGuard off(0);
-        ref.execute(ops);
-    }
-    vec.execute(ops);
-    ASSERT_EQ(ref.data().size(), vec.data().size());
-    EXPECT_EQ(std::memcmp(ref.data().data(), vec.data().data(),
-                          ref.data().size() * sizeof(cd)),
-              0);
-    EXPECT_NEAR(vec.trace(), 1.0, 1e-12);
+
+    // The lane paths are the ones exercised above whenever a vector
+    // ISA is active: a quad whose z bit sits inside a vector.
+    simd::PauliPass quad;
+    quad.lo = 0;
+    quad.hi = 6;
+    simd::planPass(quad, size_t{1} << 12);
+    EXPECT_EQ(quad.path, simd::enabled() ? simd::PauliPass::Path::Lanes
+                                         : simd::PauliPass::Path::Scalar);
 }
 
 TEST(SimdKernels, BlockedScheduleBitIdenticalAndActive)
