@@ -206,6 +206,20 @@ then(const Ptm &first, const Ptm &second)
 
 namespace {
 
+/** In-place unnormalised Walsh-Hadamard transform of v[0, d). */
+template <class T>
+void
+walshHadamard(T *v, size_t d)
+{
+    for (size_t h = 1; h < d; h <<= 1)
+        for (size_t i = 0; i < d; i += 2 * h)
+            for (size_t j = i; j < i + h; ++j) {
+                const T a = v[j], b = v[j + h];
+                v[j] = a + b;
+                v[j + h] = a - b;
+            }
+}
+
 /** Stream pass of a PTM on qubit q: the quad at bits (n + q, q). */
 simd::PauliPass
 quadPass(const Ptm &m, size_t q, size_t n)
@@ -298,13 +312,7 @@ forPauliRows(const Statevector &psi, Fn fn)
     for (uint64_t x = 0; x < d; ++x) {
         for (uint64_t i = 0; i < d; ++i)
             v[i] = std::conj(a[i ^ x]) * a[i];
-        for (size_t h = 1; h < d; h <<= 1)
-            for (size_t i = 0; i < d; i += 2 * h)
-                for (size_t j = i; j < i + h; ++j) {
-                    const cd p = v[j], q = v[j + h];
-                    v[j] = p + q;
-                    v[j + h] = p - q;
-                }
+        walshHadamard(v.data(), d);
         // Re(i^k w) for k = x.z mod 4.
         for (uint64_t z = 0; z < d; ++z) {
             const cd w = v[z];
@@ -539,16 +547,10 @@ DensityMatrix::diagonalProbabilities() const
     // transform of the Z-type coefficients.
     const size_t d = dim();
     std::vector<double> probs(data_.begin(), data_.begin() + d);
-    for (size_t h = 1; h < d; h <<= 1)
-        for (size_t i = 0; i < d; i += 2 * h)
-            for (size_t j = i; j < i + h; ++j) {
-                const double a = probs[j], b = probs[j + h];
-                probs[j] = a + b;
-                probs[j + h] = a - b;
-            }
+    walshHadamard(probs.data(), d);
     const double scale = 1.0 / static_cast<double>(d);
     for (double &p : probs)
-        p = std::max(0.0, p * scale);
+        p *= scale;
     return probs;
 }
 

@@ -223,8 +223,8 @@ class DensityMatrix
 
     /**
      * Measurement probabilities per basis state: a Walsh-Hadamard
-     * transform of the Z-type coefficients, roundoff negatives clamped
-     * to zero.
+     * transform of the Z-type coefficients. Roundoff may leave tiny
+     * negatives; the sampler clamps them.
      */
     std::vector<double> diagonalProbabilities() const;
 

@@ -1288,15 +1288,11 @@ struct PauliPass
     uint8_t lane_k = 0;
     size_t nv = 0, groups = 0;
     uint64_t vfrom[16] = {}; ///< load offset of vector j
-    uint64_t vto[16] = {};   ///< store offset of vector j (no scatter)
+    uint64_t vto[16] = {};   ///< store offset of vector j
     LaneQuad a, b; ///< Quad: a; Pair: the qubits whose z bit is in lanes
-    /** Some vector's lanes land in different vectors: store through
-     *  dst (per lane) instead of vto and perm. */
-    bool scatter = false;
     uint8_t perm[16][kRealLanes] = {}; ///< out lane <- source lane
     bool permuted[16] = {};
     alignas(64) double fpat[16][kRealLanes] = {}; ///< fac per source lane
-    uint32_t dst[16 * kRealLanes] = {};
 };
 
 namespace detail {
@@ -1718,7 +1714,6 @@ kernPairLanes(double *d, size_t c0, size_t c1, const PauliPass &pp)
         perm[j] = ridx(p.perm[j]);
     }
     RVec w[kNv];
-    alignas(64) double buf[kNv * kRealLanes];
     for (size_t c = c0; c < c1; ++c) {
         double *base = d + pairGroupBase(c * p.groups, p.pos);
 #pragma GCC unroll 16
@@ -1731,18 +1726,10 @@ kernPairLanes(double *d, size_t c0, size_t c1, const PauliPass &pp)
 #pragma GCC unroll 16
         for (int j = 0; j < kNv; ++j)
             w[j] = rmul(w[j], f[j]);
-        if (!p.scatter) {
-#pragma GCC unroll 16
-            for (int j = 0; j < kNv; ++j)
-                rstore(base + p.vto[j],
-                       p.permuted[j] ? rperm(w[j], perm[j]) : w[j]);
-            continue;
-        }
 #pragma GCC unroll 16
         for (int j = 0; j < kNv; ++j)
-            rstore(buf + j * kRealLanes, w[j]);
-        for (size_t s = 0; s < kNv * kRealLanes; ++s)
-            base[p.dst[s]] = buf[s];
+            rstore(base + p.vto[j],
+                   p.permuted[j] ? rperm(w[j], perm[j]) : w[j]);
     }
 }
 
@@ -1765,8 +1752,10 @@ fillLaneQuad(LaneQuad &s, const double *m, unsigned bit)
 }
 
 /** Lane layout of a Pair pass whose z bits (not x bits) may fall
- *  inside a vector. */
-inline void
+ *  inside a vector. False when some vector's lanes would land in more
+ *  than one vector (a Swap or CX moving an in-lane z bit out of the
+ *  lanes); such a pass takes the scalar reference. */
+inline bool
 planPairLanes(PauliPass &p, size_t size)
 {
     constexpr uint64_t kLaneMask = kRealLanes - 1;
@@ -1793,26 +1782,24 @@ planPairLanes(PauliPass &p, size_t size)
         p.vfrom[vec[e]] = p.from[e] & ~kLaneMask;
     }
 
-    p.scatter = false;
     for (size_t j = 0; j < p.nv; ++j) {
-        bool same = true;
         for (uint64_t l = 0; l < kRealLanes; ++l) {
             int e = 0;
             while (vec[e] != j || (p.from[e] & kLaneMask) != (l & low))
                 ++e;
             const uint64_t dest = p.to[e] | (l & ~low);
             p.fpat[j][l] = p.fac[e];
-            p.dst[j * kRealLanes + l] = static_cast<uint32_t>(dest);
             p.perm[j][dest & kLaneMask] = static_cast<uint8_t>(l);
             if (l == 0)
                 p.vto[j] = dest & ~kLaneMask;
-            same = same && (dest & ~kLaneMask) == p.vto[j];
+            else if ((dest & ~kLaneMask) != p.vto[j])
+                return false;
         }
-        p.scatter = p.scatter || !same;
         p.permuted[j] = false;
         for (uint64_t l = 0; l < kRealLanes; ++l)
             p.permuted[j] = p.permuted[j] || p.perm[j][l] != l;
     }
+    return true;
 }
 
 /** Run pass @p p over its work units [c0, c1). */
@@ -1845,9 +1832,10 @@ runPass(double *d, const PauliPass &p, size_t c0, size_t c1)
 
 /**
  * Choose the kernel of @p p for a coefficient vector of @p size
- * doubles: the vector paths when the lanes are on and the pass's x
- * bits lie at or above the lane width, the scalar reference otherwise
- * (always when the dispatch is pinned to scalar).
+ * doubles: the vector paths when the lanes are on, the pass's x bits
+ * lie at or above the lane width and each vector's lanes stay in one
+ * vector, the scalar reference otherwise (always when the dispatch is
+ * pinned to scalar).
  */
 inline void
 planPass(PauliPass &p, size_t size)
@@ -1871,9 +1859,9 @@ planPass(PauliPass &p, size_t size)
     if (vec && p.pos[0] >= kRealLaneBits) {
         p.path = Path::Vector;
         p.chunks = size / 16 / kRealLanes;
-    } else if (vec && p.pos[2] >= kRealLaneBits) {
+    } else if (vec && p.pos[2] >= kRealLaneBits &&
+               detail::planPairLanes(p, size)) {
         p.path = Path::Lanes;
-        detail::planPairLanes(p, size);
     } else {
         p.path = Path::Scalar;
         p.chunks = size / 16;
