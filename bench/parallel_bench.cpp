@@ -50,7 +50,10 @@
  * apply only when OpenMP has a real thread team: on the 1-core CI
  * container those speedups legitimately read ~1.0x, so each block
  * records its `threads` and single-threaded runs gate on correctness
- * alone.
+ * alone. Those two blocks first spin up the thread team and make one
+ * untimed call per side, then time interleaved serial/parallel pairs;
+ * they report each side's median and gate on the median per-pair
+ * speedup.
  *
  * `--smoke` shrinks every workload to CI size (the compiled-pipeline
  * and simd workloads stay at 16 qubits — they are the CI gates);
@@ -113,6 +116,77 @@ bestOf(int reps, Fn &&fn)
     return best;
 }
 
+/** Wall times of @p pairs interleaved (a, b) calls, in ns. */
+struct PairedTimes
+{
+    std::vector<double> a, b;
+
+    static double median(std::vector<double> v)
+    {
+        std::sort(v.begin(), v.end());
+        const size_t h = v.size() / 2;
+        return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+    }
+    double medianA() const { return median(a); }
+    double medianB() const { return median(b); }
+
+    /** Median over the pairs of a/b: drift and noise shared by the two
+     *  calls of a pair cancel, one slow outlier does not decide it. */
+    double medianRatio() const
+    {
+        std::vector<double> r;
+        for (size_t i = 0; i < a.size(); ++i)
+            r.push_back(b[i] > 0.0 ? a[i] / b[i] : 0.0);
+        return median(r);
+    }
+};
+
+/** Time @p pairs (a, b) pairs, alternating which side runs first. */
+template <class FnA, class FnB>
+PairedTimes
+interleavedPairs(int pairs, FnA &&fa, FnB &&fb)
+{
+    auto timed = [](auto &fn) {
+        const auto t0 = Clock::now();
+        fn();
+        return elapsedNs(t0);
+    };
+    PairedTimes t;
+    for (int r = 0; r < pairs; ++r) {
+        if (r % 2 == 0) {
+            t.a.push_back(timed(fa));
+            t.b.push_back(timed(fb));
+        } else {
+            t.b.push_back(timed(fb));
+            t.a.push_back(timed(fa));
+        }
+    }
+    return t;
+}
+
+/**
+ * Spin up the OpenMP thread team. After the host has idled for a while,
+ * the first parallel regions of a fresh process can run 100x slow for
+ * about a second; run empty regions until 64 in a row each finish
+ * within 100 us (at most 5 s), so the timed blocks meet a warm team.
+ */
+void
+warmThreadTeam()
+{
+#ifdef _OPENMP
+    const auto start = Clock::now();
+    int fast = 0;
+    while (fast < 64 && Clock::now() - start < std::chrono::seconds(5)) {
+        const auto t0 = Clock::now();
+#pragma omp parallel
+        {
+            [[maybe_unused]] volatile int id = omp_get_thread_num();
+        }
+        fast = elapsedNs(t0) < 100e3 ? fast + 1 : 0;
+    }
+#endif
+}
+
 Circuit
 boundCliffordFche(int n, uint64_t angle_seed)
 {
@@ -145,29 +219,37 @@ main(int argc, char **argv)
               << (smoke ? " (smoke)" : "") << "\n";
 
     // ---- 1. Trajectory farm (fig12-style Clifford workload) --------
+    // Both thread-sensitive blocks run on a warm team, each after one
+    // untimed call per side, as interleaved serial/parallel pairs gated
+    // on the median of the per-pair ratios.
+    warmThreadTeam();
     const int farm_qubits = smoke ? 24 : 100;
     const size_t farm_traj = smoke ? 16 : 128;
-    const int farm_reps = smoke ? 2 : 3;
+    const int farm_pairs = smoke ? 9 : 5;
     const Circuit farm_circuit = boundCliffordFche(farm_qubits, 5);
     const auto farm_ham = isingHamiltonian(farm_qubits, 1.0);
     const auto farm_spec = nisqCliffordSpec(NisqParams{});
 
     std::vector<double> serial_vals, parallel_vals;
-    const double farm_serial_ns = bestOf(farm_reps, [&] {
+    auto farm_serial = [&] {
         NoisyCliffordSimulator sim(farm_spec, 77);
         sim.setParallel(false);
         serial_vals = sim.termExpectations(farm_circuit, farm_ham,
                                            farm_traj);
-    });
-    const double farm_parallel_ns = bestOf(farm_reps, [&] {
+    };
+    auto farm_parallel = [&] {
         NoisyCliffordSimulator sim(farm_spec, 77);
         parallel_vals = sim.termExpectations(farm_circuit, farm_ham,
                                              farm_traj);
-    });
+    };
+    farm_serial();
+    farm_parallel();
+    const PairedTimes farm_times =
+        interleavedPairs(farm_pairs, farm_serial, farm_parallel);
+    const double farm_serial_ns = farm_times.medianA();
+    const double farm_parallel_ns = farm_times.medianB();
     const bool farm_identical = serial_vals == parallel_vals;
-    const double farm_speedup = farm_parallel_ns > 0.0
-                                    ? farm_serial_ns / farm_parallel_ns
-                                    : 0.0;
+    const double farm_speedup = farm_times.medianRatio();
     // Speedup is only a meaningful gate with a thread team; on a
     // 1-core CI container the parallel path legitimately reads ~1.0x.
     const bool farm_ok =
@@ -184,24 +266,28 @@ main(int argc, char **argv)
 
     // ---- 2. Bucket-sharded expectationBatch ------------------------
     const int batch_qubits = smoke ? 12 : 16;
-    const int batch_reps = smoke ? 5 : 20;
+    const int batch_pairs = smoke ? 9 : 21;
     Statevector psi(static_cast<size_t>(batch_qubits));
     const auto batch_ansatz = fcheAnsatz(batch_qubits, 1);
     psi.run(batch_ansatz.bind(
         std::vector<double>(batch_ansatz.nParameters(), 0.3)));
     const auto batch_ham = heisenbergHamiltonian(batch_qubits, 1.0);
 
-    detail::setBucketShardMode(0);
-    const double batch_unsharded_ns =
-        bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
-    detail::setBucketShardMode(1);
-    const double batch_sharded_ns =
-        bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
+    auto batch_with = [&](int shard_mode) {
+        return [&, shard_mode] {
+            detail::setBucketShardMode(shard_mode);
+            psi.expectationBatch(batch_ham);
+        };
+    };
+    warmThreadTeam();
+    batch_with(0)();
+    batch_with(1)();
+    const PairedTimes batch_times =
+        interleavedPairs(batch_pairs, batch_with(0), batch_with(1));
     detail::setBucketShardMode(-1);
-    const double batch_speedup = batch_sharded_ns > 0.0
-                                     ? batch_unsharded_ns /
-                                           batch_sharded_ns
-                                     : 0.0;
+    const double batch_unsharded_ns = batch_times.medianA();
+    const double batch_sharded_ns = batch_times.medianB();
+    const double batch_speedup = batch_times.medianRatio();
     const bool batch_ok = threads <= 1 || batch_speedup >= 1.0;
     std::cout << "sharded_batch     " << batch_qubits << "q x "
               << batch_ham.nTerms() << " terms: unsharded "
@@ -576,6 +662,7 @@ main(int argc, char **argv)
                farm_serial_ns / static_cast<double>(farm_traj));
     json.field("parallel_ns_per_trajectory",
                farm_parallel_ns / static_cast<double>(farm_traj));
+    json.field("timed_pairs", farm_pairs);
     json.field("speedup", farm_speedup);
     json.field("bit_identical", farm_identical);
     json.field("speedup_gated", threads > 1);
@@ -586,6 +673,7 @@ main(int argc, char **argv)
     json.field("terms", batch_ham.nTerms());
     json.field("unsharded_ns_per_call", batch_unsharded_ns);
     json.field("sharded_ns_per_call", batch_sharded_ns);
+    json.field("timed_pairs", batch_pairs);
     json.field("speedup", batch_speedup);
     json.field("speedup_gated", threads > 1);
     json.endObject();

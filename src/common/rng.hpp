@@ -11,6 +11,7 @@
 #ifndef EFTVQA_COMMON_RNG_HPP
 #define EFTVQA_COMMON_RNG_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -75,6 +76,36 @@ class Rng
     double spare_ = 0.0;
     bool has_spare_ = false;
 };
+
+// The per-draw primitives are inline: the trajectory farms draw several
+// per gate per trajectory.
+
+inline uint64_t
+Rng::next()
+{
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 top bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::bernoulli(double p)
+{
+    return uniform() < p;
+}
 
 } // namespace eftvqa
 

@@ -8,13 +8,22 @@
  * sampled per gate/idle slot, and energies are averaged across
  * trajectories.
  *
- * The trajectory loops form a deterministic parallel farm: one RNG
- * stream is forked per trajectory up front (Rng::forkStreams), so
- * trajectory k consumes stream k on whatever thread runs it, and
- * per-term tallies are integer sums (exactly order-independent). The
- * OpenMP path is therefore bit-identical to the serial reference for
- * any thread count; setParallel(false) selects the serial sweep of the
- * same streams.
+ * The energy farms split each call into one noiseless reference and
+ * one Pauli frame per trajectory (Gidney, "Stim", Quantum 5, 497
+ * (2021)). A reference Tableau gives every Hamiltonian term its ideal
+ * value in {-1, 0, +1}. Each trajectory then carries only the Pauli
+ * its noise left on the state, as x/z bit words pushed through the
+ * Clifford gates. A term's sample is its ideal value, negated when
+ * the frame anticommutes with the term. Circuits with Measure or Reset
+ * are rejected by the farms.
+ *
+ * The farm is deterministic in parallel: one RNG stream is forked per
+ * trajectory up front (Rng::forkStreams), so trajectory k consumes
+ * stream k on whatever thread runs it, in the same order a full
+ * tableau trajectory (runTrajectory) does. Per-term tallies are integer
+ * sums, exactly order-independent. The OpenMP path is therefore
+ * bit-identical to the serial reference for any thread count;
+ * setParallel(false) selects the serial sweep of the same streams.
  */
 
 #ifndef EFTVQA_STABILIZER_NOISY_CLIFFORD_HPP
@@ -65,7 +74,9 @@ class NoisyCliffordSimulator
     /**
      * Mean energy over @p trajectories noisy executions of the (bound,
      * Clifford) circuit. Readout error is folded in analytically as a
-     * (1-2p)^weight damping per Pauli term.
+     * (1-2p)^weight damping per Pauli term. Throws
+     * std::invalid_argument for zero trajectories, a non-Clifford
+     * circuit, or a circuit with Measure or Reset.
      */
     double energy(const Circuit &circuit, const Hamiltonian &ham,
                   size_t trajectories);
@@ -78,15 +89,18 @@ class NoisyCliffordSimulator
     /**
      * Mean per-term Pauli expectations over @p trajectories noisy
      * executions, aligned with ham.terms() and including the analytic
-     * readout damping. One batched pass: every trajectory's tableau is
-     * read once for all terms, so the trajectory loop is shared across
-     * the whole Hamiltonian instead of re-run per term.
+     * readout damping. One batched pass: the reference tableau is read
+     * once per term, and each trajectory's frame is tested once
+     * against every term whose ideal value is non-zero.
      */
     std::vector<double> termExpectations(const Circuit &circuit,
                                          const Hamiltonian &ham,
                                          size_t trajectories);
 
-    /** One noisy execution; returns the post-circuit stabilizer state. */
+    /**
+     * One noisy execution as a full tableau; returns the post-circuit
+     * stabilizer state. Unlike the farms it runs Measure and Reset.
+     */
     Tableau runTrajectory(const Circuit &circuit);
 
     /** Single noiseless energy evaluation. */
@@ -104,28 +118,9 @@ class NoisyCliffordSimulator
     bool parallel() const { return parallel_; }
 
   private:
-    /** ASAP layer schedule of a circuit, built once per farm run (the
-     *  gate list is NOT level-sorted; see runScheduled). */
-    struct LayerSchedule
-    {
-        std::vector<std::vector<size_t>> by_level; ///< gate indices
-    };
-
     CliffordNoiseSpec spec_;
     Rng rng_;
     bool parallel_ = true;
-
-    static LayerSchedule buildSchedule(const Circuit &circuit);
-
-    /** One noisy execution into a reusable tableau with an explicit
-     *  per-trajectory stream. */
-    void runScheduled(const Circuit &circuit, const LayerSchedule &sched,
-                      Tableau &t, Rng &rng) const;
-
-    void applyChannel(Tableau &t, const PauliChannel &ch, size_t q,
-                      Rng &rng) const;
-    void applyTwoQubitDepol(Tableau &t, size_t q0, size_t q1,
-                            Rng &rng) const;
 
     /** Per-term (1-2p)^weight readout damping, hoisted out of the
      *  trajectory loop. */

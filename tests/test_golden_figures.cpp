@@ -1,12 +1,19 @@
 /**
  * @file
- * Golden outputs of the density-matrix figure drivers: rerun
- * fig13_density_matrix_gamma and fig15_varsaw with --smoke and compare
- * every energy field of their --out JSON with tests/data/*_smoke.json
- * to 1e-12 (other numbers to 1e-9 relative, strings exactly). The
- * goldens were written by the gate-by-gate density-matrix path, so
- * they pin the fused superoperator stream to it on every ISA and
- * thread count the suite runs under.
+ * Golden outputs of the figure drivers.
+ *
+ * The density-matrix drivers fig13_density_matrix_gamma and
+ * fig15_varsaw rerun with --smoke, and every energy field of their
+ * --out JSON is compared with tests/data/fig13_smoke.json and
+ * fig15_smoke.json to 1e-12 (other numbers to 1e-9 relative, strings
+ * exactly). Those goldens were written by the gate-by-gate
+ * density-matrix path, so they pin the fused superoperator stream to
+ * it on every ISA and thread count the suite runs under.
+ *
+ * The tableau driver fig12_clifford_scale reruns with --smoke into a
+ * fresh binary store, and every cell line of its `vqastore export`
+ * must equal tests/data/fig12_smoke_store.json byte for byte: the
+ * trajectory farm's energies are exact bits on every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -102,7 +109,47 @@ expectMatchesGolden(const std::string &driver, const std::string &golden)
 #endif
 }
 
+/** The lines of @p path that hold one stored cell each. */
+std::vector<std::string>
+cellLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"key\":") != std::string::npos)
+            lines.push_back(line);
+    return lines;
+}
+
 } // namespace
+
+TEST(GoldenFigures, Fig12SmokeStoreMatchesFixture)
+{
+#ifndef EFTVQA_BENCH_DIR
+    GTEST_SKIP() << "figure drivers not built (EFTVQA_BUILD_BENCH=OFF)";
+#else
+    const std::string store = testing::TempDir() + "golden_fig12.bin";
+    const std::string exported = testing::TempDir() + "golden_fig12.json";
+    std::remove(store.c_str());
+    const std::string run = std::string(EFTVQA_BENCH_DIR) +
+                            "/fig12_clifford_scale --smoke --store " +
+                            store + " > /dev/null";
+    ASSERT_EQ(std::system(run.c_str()), 0) << run;
+    const std::string dump = std::string(EFTVQA_VQASTORE) + " export " +
+                             store + " " + exported + " > /dev/null";
+    ASSERT_EQ(std::system(dump.c_str()), 0) << dump;
+
+    const auto want = cellLines(std::string(EFTVQA_TEST_DATA_DIR) +
+                                "/fig12_smoke_store.json");
+    const auto got = cellLines(exported);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(want[i], got[i]) << "cell line " << i;
+    std::remove(store.c_str());
+    std::remove(exported.c_str());
+#endif
+}
 
 TEST(GoldenFigures, Fig13SmokeEnergiesMatch)
 {
