@@ -45,6 +45,13 @@
  *    binary store appends one record. Gated: the binary store must
  *    land >= 10x fewer total bytes on disk, or the O(row) appends
  *    claim is broken.
+ *  - dm_slices: 8-qubit NISQ density-matrix energies (FCHE ansatz,
+ *    Ising and the 367-term H2O) run over only the Pauli x slices the
+ *    Hamiltonian reads vs over every slice (the same prepared stream,
+ *    its whole state read first), as warm interleaved pairs. Gated:
+ *    both must give the same energy bits, Ising must gain >= 1.5x and
+ *    H2O must not lose. Outside --smoke it also records one 12-qubit
+ *    Ising and H2O NISQ energy through the density-matrix backend.
  *
  * Thread-sensitive gates (trajectory-farm / sharded-batch speedups)
  * apply only when OpenMP has a real thread team: on the 1-core CI
@@ -64,6 +71,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -78,7 +86,10 @@
 #include "driver_args.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
+#include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
+#include "sim/backend.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
@@ -646,6 +657,92 @@ main(int argc, char **argv)
     std::remove(store_json_path.c_str());
     std::remove(store_bin_path.c_str());
 
+    // ---- 10. Density-matrix slices: pruned vs every slice ----------
+    const int dm_qubits = 8;
+    // H2O gains ~1.1x: enough pairs that the median ratio is stable.
+    const int dm_pairs = smoke ? 41 : 101;
+    const auto dm_ansatz = fcheAnsatz(dm_qubits, 1);
+    Rng dm_rng(2024);
+    std::vector<double> dm_params(dm_ansatz.nParameters());
+    for (auto &p : dm_params)
+        p = dm_rng.uniform(-M_PI, M_PI);
+    const Circuit dm_circuit = dm_ansatz.bind(dm_params);
+    const sim::NoiseModel dm_noise = sim::NoiseModel::nisq();
+    MoleculeSpec dm_h2o;
+    dm_h2o.n_qubits = dm_qubits;
+    struct DmCase
+    {
+        const char *name;
+        Hamiltonian ham;
+        double required; ///< gated pruned-vs-every-slice speedup
+        double full_ns = 0.0, pruned_ns = 0.0, speedup = 0.0;
+        bool identical = false;
+    };
+    DmCase dm_cases[] = {{"ising", isingHamiltonian(dm_qubits, 1.0), 1.5},
+                         {"h2o", moleculeHamiltonian(dm_h2o), 1.0}};
+    DensityMatrix dm_rho(dm_qubits);
+    // Compile, prepare, read (every slice first on the full side) and
+    // sum as noisyDensityMatrixEnergy does.
+    const auto dm_energy = [&](const Hamiltonian &ham, bool every_slice) {
+        dm_rho.prepare(compileNoisyStream(dm_circuit, dm_noise.dm));
+        if (every_slice)
+            dm_rho.data();
+        const std::vector<double> vals = dm_rho.expectationBatch(ham);
+        double e = 0.0;
+        for (size_t k = 0; k < vals.size(); ++k)
+            e += ham.terms()[k].coefficient *
+                 readoutDampingFactor(dm_noise.dm.meas_flip,
+                                      ham.terms()[k].op) *
+                 vals[k];
+        return e;
+    };
+    bool dm_ok = true;
+    for (DmCase &dc : dm_cases) {
+        double e_full = 0.0, e_pruned = 0.0;
+        auto full = [&] { e_full = dm_energy(dc.ham, true); };
+        auto pruned = [&] { e_pruned = dm_energy(dc.ham, false); };
+        warmThreadTeam();
+        full();
+        pruned();
+        const PairedTimes t = interleavedPairs(dm_pairs, full, pruned);
+        dc.full_ns = t.medianA();
+        dc.pruned_ns = t.medianB();
+        dc.speedup = t.medianRatio();
+        dc.identical = std::memcmp(&e_full, &e_pruned, sizeof e_full) == 0;
+        dm_ok = dm_ok && dc.identical && dc.speedup >= dc.required;
+        std::cout << "dm_slices         " << dm_qubits << "q nisq "
+                  << dc.name << " (" << dc.ham.nTerms()
+                  << " terms): every slice " << dc.full_ns / 1e6
+                  << " ms, pruned " << dc.pruned_ns / 1e6
+                  << " ms, speedup " << dc.speedup
+                  << (dc.identical ? " (bit-identical)" : " (MISMATCH!)")
+                  << "\n";
+    }
+    // One 12-qubit NISQ energy per Hamiltonian, after one warm call.
+    double dm12_ising_ms = 0.0, dm12_h2o_ms = 0.0;
+    if (!smoke) {
+        const auto ansatz12 = fcheAnsatz(12, 1);
+        const Circuit c12 = ansatz12.bind(std::vector<double>(
+            ansatz12.nParameters(), 0.3));
+        MoleculeSpec h2o12;
+        h2o12.n_qubits = 12;
+        auto backend = sim::makeBackend(sim::BackendKind::DensityMatrix, 12,
+                                        &dm_noise);
+        const auto energy_ms = [&](const Hamiltonian &ham) {
+            backend->prepare(c12);
+            backend->energy(ham);
+            const auto t0 = Clock::now();
+            backend->prepare(c12);
+            backend->energy(ham);
+            return elapsedNs(t0) / 1e6;
+        };
+        dm12_ising_ms = energy_ms(isingHamiltonian(12, 1.0));
+        dm12_h2o_ms = energy_ms(moleculeHamiltonian(h2o12));
+        std::cout << "dm_slices         12q nisq energy: ising "
+                  << dm12_ising_ms << " ms, h2o " << dm12_h2o_ms
+                  << " ms\n";
+    }
+
     // ---- JSON ------------------------------------------------------
     auto os = bench::openJsonOut(args.out);
     bench::JsonWriter json(os);
@@ -762,6 +859,25 @@ main(int argc, char **argv)
     json.field("binary_ms", store_bin_ns / 1e6);
     json.field("ok", store_ok);
     json.endObject();
+    json.beginObject("dm_slices");
+    json.field("threads", threads);
+    json.field("qubits", dm_qubits);
+    json.field("timed_pairs", dm_pairs);
+    for (const DmCase &dc : dm_cases) {
+        json.beginObject(dc.name);
+        json.field("terms", dc.ham.nTerms());
+        json.field("every_slice_ms", dc.full_ns / 1e6);
+        json.field("pruned_ms", dc.pruned_ns / 1e6);
+        json.field("speedup", dc.speedup);
+        json.field("bit_identical", dc.identical);
+        json.endObject();
+    }
+    if (!smoke) {
+        json.field("nisq_12q_ising_ms", dm12_ising_ms);
+        json.field("nisq_12q_h2o_ms", dm12_h2o_ms);
+    }
+    json.field("ok", dm_ok);
+    json.endObject();
     json.endObject();
     std::cout << "wrote " << args.out << "\n";
     if (!farm_ok)
@@ -780,5 +896,7 @@ main(int argc, char **argv)
         return 8; // disarmed fault probes cost >= 2% of the energy path
     if (!store_ok)
         return 9; // binary store wrote >= 1/10th of the JSON rewrite bytes
+    if (!dm_ok)
+        return 10; // pruned DM energies changed bits or lost their gain
     return 0;
 }

@@ -65,20 +65,26 @@ decodeLength(const char *header)
 
 } // namespace
 
-bool
-writeFrame(int fd, std::string_view payload)
+std::string
+encodeFrame(std::string_view payload)
 {
     if (payload.size() > kMaxFrameBytes)
         throw std::invalid_argument("writeFrame: payload of " +
                                     std::to_string(payload.size()) +
                                     " bytes exceeds the frame cap");
-    char header[4];
+    std::string frame(4, '\0');
     const uint32_t length = static_cast<uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i)
-        header[i] = static_cast<char>((length >> (8 * i)) & 0xFF);
-    if (!writeAll(fd, header, sizeof(header)))
-        return false;
-    return writeAll(fd, payload.data(), payload.size());
+        frame[i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+    frame.append(payload);
+    return frame;
+}
+
+bool
+writeFrame(int fd, std::string_view payload)
+{
+    const std::string frame = encodeFrame(payload);
+    return writeAll(fd, frame.data(), frame.size());
 }
 
 bool

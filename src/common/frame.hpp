@@ -28,6 +28,12 @@ namespace eftvqa {
 constexpr size_t kMaxFrameBytes = size_t{64} << 20;
 
 /**
+ * The wire bytes of one frame: the length prefix, then @p payload.
+ * Throws std::invalid_argument on an oversized payload.
+ */
+std::string encodeFrame(std::string_view payload);
+
+/**
  * Write one frame to @p fd, blocking until it is fully sent. Returns
  * false when the peer is gone (EPIPE/ECONNRESET — for a worker this
  * means the supervisor died and the right response is to exit).

@@ -153,7 +153,7 @@ compileNoisyStream(const Circuit &circuit, const DmNoiseSpec &spec)
     for (const Gate &g : circuit.gates()) {
         if (g.isParameterized())
             throw std::invalid_argument(
-                "runNoisyDensityMatrix: unbound parameter");
+                "compileNoisyStream: unbound parameter");
         const size_t a = g.q0;
         if (g.isTwoQubit()) {
             const size_t b = g.q1;
@@ -210,15 +210,6 @@ compileNoisyStream(const Circuit &circuit, const DmNoiseSpec &spec)
     return ops;
 }
 
-void
-runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
-                      DensityMatrix &rho)
-{
-    if (circuit.nQubits() != rho.nQubits())
-        throw std::invalid_argument("runNoisyDensityMatrix: width mismatch");
-    rho.execute(compileNoisyStream(circuit, spec));
-}
-
 double
 readoutDampingFactor(double meas_flip, const PauliString &op)
 {
@@ -233,11 +224,14 @@ noisyDensityMatrixEnergy(const Circuit &circuit, const Hamiltonian &ham,
                          const DmNoiseSpec &spec)
 {
     DensityMatrix rho(circuit.nQubits());
-    runNoisyDensityMatrix(circuit, spec, rho);
+    rho.prepare(compileNoisyStream(circuit, spec));
+    const std::vector<double> vals = rho.expectationBatch(ham);
     double energy = 0.0;
-    for (const auto &t : ham.terms())
+    for (size_t k = 0; k < vals.size(); ++k) {
+        const auto &t = ham.terms()[k];
         energy += t.coefficient * readoutDampingFactor(spec.meas_flip, t.op) *
-                  rho.expectation(t.op);
+                  vals[k];
+    }
     return energy;
 }
 

@@ -11,6 +11,10 @@
  * the surface-code logical rate (~1e-7 for d = 11, p = 1e-3), while
  * injected Rz(theta) gates retain the near-physical injection error
  * 23 p / 30 with Z-biased structure (Lao & Criger).
+ *
+ * Both regimes run on the density matrix as one compiled stream per
+ * bound circuit (compileNoisyStream). An energy runs that stream only
+ * over the Pauli x slices its terms read (DensityMatrix::prepare).
  */
 
 #ifndef EFTVQA_NOISE_NOISE_MODEL_HPP
@@ -103,14 +107,6 @@ std::vector<DmOp> compileNoisyStream(const Circuit &circuit,
                                      const DmNoiseSpec &spec);
 
 /**
- * Runs a bound circuit through the density-matrix simulator with the
- * spec's noise (compileNoisyStream, then DensityMatrix::execute). The
- * state is left in @p rho.
- */
-void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
-                           DensityMatrix &rho);
-
-/**
  * Analytic readout damping (1 - 2 p_meas)^weight(P) of a Pauli
  * expectation under symmetric per-qubit measurement bit-flips; 1.0
  * when p_meas <= 0. Shared by every backend's meas_flip path.
@@ -119,7 +115,8 @@ double readoutDampingFactor(double meas_flip, const PauliString &op);
 
 /**
  * Energy Tr(H rho) after noisy execution, with readout error folded in
- * analytically as a (1 - 2 p_meas)^weight damping per Pauli term.
+ * analytically as a (1 - 2 p_meas)^weight damping per Pauli term. The
+ * stream runs only over the x slices the terms read.
  */
 double noisyDensityMatrixEnergy(const Circuit &circuit,
                                 const Hamiltonian &ham,

@@ -30,6 +30,32 @@ setCloexec(int fd)
         fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
+/** Reply bytes one connection may leave unread before it is
+ *  disconnected. */
+constexpr size_t kMaxOutboxBytes = size_t{4} << 20;
+
+/** Send what the non-blocking socket takes now of @p bytes. Returns
+ *  the count sent, or -1 when the peer is gone. */
+ssize_t
+sendSome(int fd, std::string_view bytes)
+{
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+        const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n >= 0) {
+            sent += static_cast<size_t>(n);
+            continue;
+        }
+        if (errno == EINTR)
+            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            break;
+        return -1;
+    }
+    return static_cast<ssize_t>(sent);
+}
+
 /** One nonblocking drain of whatever bytes the peer sent. Returns
  *  false when the peer is gone (EOF or a hard error). */
 bool
@@ -296,6 +322,7 @@ Daemon::stats() const
     s.rejected_busy = rejected_busy_.load();
     s.rejected_quota = rejected_quota_.load();
     s.rejected_draining = rejected_draining_.load();
+    s.slow_clients_dropped = slow_clients_dropped_.load();
     s.energy_cache_hits = energy_cache_->hits();
     s.energy_cache_misses = energy_cache_->misses();
     s.compile_cache_hits = compile_cache_->hits();
@@ -331,7 +358,11 @@ Daemon::serveLoop()
         }
         const size_t conn_base = fds.size();
         for (const Connection &conn : connections_)
-            fds.push_back({conn.fd, POLLIN, 0});
+            fds.push_back({conn.fd,
+                           static_cast<short>(conn.outbox.empty()
+                                                  ? POLLIN
+                                                  : POLLIN | POLLOUT),
+                           0});
 
         const int ready =
             poll(fds.data(), static_cast<nfds_t>(fds.size()), 200);
@@ -369,6 +400,11 @@ Daemon::serveLoop()
                 }
             if (index == connections_.size())
                 continue; // already closed this iteration
+            if ((fds[i].revents & POLLOUT) &&
+                !flushOutbox(connections_[index])) {
+                closeConnection(index);
+                continue;
+            }
             if (fds[i].revents & (POLLIN | POLLHUP | POLLERR))
                 handleConnectionInput(connections_[index]);
         }
@@ -380,6 +416,7 @@ Daemon::serveLoop()
         if (!job->token->cancelled())
             job->token->cancel();
     for (Connection &conn : connections_) {
+        flushOutbox(conn); // best effort: a full socket keeps the rest
         close(conn.fd);
         connections_open_.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -397,6 +434,7 @@ Daemon::acceptOn(int listen_fd)
             return; // EAGAIN or a transient error; poll again
         }
         setCloexec(fd);
+        fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK);
         Connection conn;
         conn.fd = fd;
         conn.client_id = next_client_id_++;
@@ -749,14 +787,10 @@ Daemon::drainCompletions()
             if (conn.outstanding > 0)
                 --conn.outstanding;
             const bool sent =
-                job->ok
-                    ? writeFrame(conn.fd,
-                                 makeOkFrame(id, job->key, job->line))
-                    : writeFrame(
-                          conn.fd,
-                          makeErrFrame(id, "failed",
-                                       job->category.c_str(),
-                                       job->error));
+                job->ok ? sendFrame(conn, makeOkFrame(id, job->key, job->line))
+                        : sendFrame(conn, makeErrFrame(id, "failed",
+                                                       job->category.c_str(),
+                                                       job->error));
             if (!sent)
                 closeConnection(index);
         }
@@ -777,10 +811,36 @@ Daemon::noteSettled()
 bool
 Daemon::sendFrame(Connection &conn, const std::string &payload)
 {
-    // A false return means the peer is gone; the caller unwinds to
-    // handleConnectionInput, which closes the connection. Closing here
-    // would invalidate the Connection reference mid-handler.
-    return writeFrame(conn.fd, payload);
+    // A false return means the peer is gone or stopped reading; the
+    // caller unwinds to handleConnectionInput, which closes the
+    // connection. Closing here would invalidate the Connection
+    // reference mid-handler.
+    const std::string frame = encodeFrame(payload);
+    size_t sent = 0;
+    if (conn.outbox.empty()) {
+        const ssize_t n = sendSome(conn.fd, frame);
+        if (n < 0)
+            return false;
+        sent = static_cast<size_t>(n);
+        if (sent == frame.size())
+            return true;
+    }
+    if (conn.outbox.size() + frame.size() - sent > kMaxOutboxBytes) {
+        slow_clients_dropped_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
+    conn.outbox.append(frame, sent);
+    return true;
+}
+
+bool
+Daemon::flushOutbox(Connection &conn)
+{
+    const ssize_t n = sendSome(conn.fd, conn.outbox);
+    if (n < 0)
+        return false;
+    conn.outbox.erase(0, static_cast<size_t>(n));
+    return true;
 }
 
 bool
@@ -811,6 +871,7 @@ Daemon::sendStats(Connection &conn, long long id)
     json.field("rejected_busy", s.rejected_busy);
     json.field("rejected_quota", s.rejected_quota);
     json.field("rejected_draining", s.rejected_draining);
+    json.field("slow_clients_dropped", s.slow_clients_dropped);
     json.field("energy_cache_hits", s.energy_cache_hits);
     json.field("energy_cache_misses", s.energy_cache_misses);
     json.field("compile_cache_hits", s.compile_cache_hits);

@@ -9,7 +9,11 @@
  *
  *  - One serve thread owns every socket: a poll() loop accepts
  *    connections, feeds each connection's bytes through a FrameBuffer,
- *    dispatches complete request frames, and writes every reply. All
+ *    dispatches complete request frames, and writes every reply. Client
+ *    sockets are non-blocking: a reply the socket cannot take now
+ *    waits in the connection's bounded outbox, flushed on POLLOUT, and
+ *    a client that lets its outbox overflow is disconnected, so one
+ *    peer that never reads cannot stall the others. All
  *    connection and job bookkeeping is serve-thread-only state — no
  *    locks around it; worker threads communicate completions back
  *    through a mutex-guarded queue plus a wake pipe.
@@ -151,6 +155,7 @@ struct DaemonStats
     size_t rejected_busy = 0;
     size_t rejected_quota = 0;
     size_t rejected_draining = 0;
+    size_t slow_clients_dropped = 0; ///< disconnected on outbox overflow
     size_t energy_cache_hits = 0;
     size_t energy_cache_misses = 0;
     size_t compile_cache_hits = 0;
@@ -208,6 +213,7 @@ class Daemon
         uint64_t client_id = 0;
         size_t outstanding = 0; ///< admitted or attached, unanswered
         FrameBuffer frames;
+        std::string outbox; ///< reply bytes the socket has not taken
     };
 
     /** One admitted evaluation, shared by every coalesced waiter. */
@@ -252,6 +258,7 @@ class Daemon
     std::string runJobInProcess(const Job &job);
     std::string runJobInWorkerProcess(const Job &job);
     bool sendFrame(Connection &conn, const std::string &payload);
+    bool flushOutbox(Connection &conn);
     bool sendErr(Connection &conn, long long id, const char *code,
                  const char *category, const std::string &error);
     bool sendStats(Connection &conn, long long id);
@@ -310,6 +317,7 @@ class Daemon
     std::atomic<size_t> rejected_busy_{0};
     std::atomic<size_t> rejected_quota_{0};
     std::atomic<size_t> rejected_draining_{0};
+    std::atomic<size_t> slow_clients_dropped_{0};
     std::atomic<size_t> store_hits_{0};
 };
 

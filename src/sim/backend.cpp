@@ -216,8 +216,10 @@ class DensityMatrixBackend final : public Backend
     void
     prepare(const Circuit &circuit) override
     {
-        rho_.setZeroState();
-        runNoisyDensityMatrix(circuit, spec_, rho_);
+        if (circuit.nQubits() != rho_.nQubits())
+            throw std::invalid_argument(
+                "DensityMatrixBackend: width mismatch");
+        rho_.prepare(compileNoisyStream(circuit, spec_));
         prepared_ = true;
     }
 

@@ -92,7 +92,10 @@ struct NoiseModel
  * then refer to the prepared state. Querying before the first prepare()
  * throws. Monte-Carlo backends consume internal RNG state on queries,
  * so two identical queries may differ by sampling noise; clone() copies
- * that RNG state, making clones replayable.
+ * that RNG state, making clones replayable. The density matrix runs
+ * its prepared stream lazily, over what each query reads. Const
+ * queries may therefore write internal state: use one backend per
+ * thread (EstimationEngine clones one per concurrent worker).
  */
 class Backend
 {

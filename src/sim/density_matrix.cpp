@@ -327,6 +327,280 @@ forPauliRows(const Statevector &psi, Fn fn)
     }
 }
 
+/** Build and plan the kernel pass of every op of @p ops. */
+void
+buildPasses(const std::vector<DmOp> &ops, size_t n, size_t size,
+            std::vector<simd::PauliPass> &passes)
+{
+    passes.clear();
+    for (const DmOp &op : ops) {
+        passes.push_back(op.kind == DmOpKind::Super1q
+                             ? quadPass(op.s0, op.q0, n)
+                             : pairPass(op, n));
+        simd::planPass(passes.back(), size);
+    }
+}
+
+/** Every pass over all of its work units. */
+void
+planWhole(const std::vector<simd::PauliPass> &passes,
+          simd::StreamRanges &plan)
+{
+    plan.ranges.clear();
+    plan.first.clear();
+    for (const simd::PauliPass &p : passes) {
+        plan.first.push_back(plan.ranges.size());
+        plan.ranges.push_back({0, p.chunks});
+    }
+    plan.first.push_back(plan.ranges.size());
+}
+
+bool
+hasBit(const std::vector<uint64_t> &b, uint64_t i)
+{
+    return (b[i >> 6] >> (i & 63)) & 1;
+}
+
+void
+setBit(std::vector<uint64_t> &b, uint64_t i)
+{
+    b[i >> 6] |= uint64_t{1} << (i & 63);
+}
+
+/** A slice bitmap's word with every slice of n qubits set (n < 6 has
+ *  one word). */
+uint64_t
+allSlicesWord(size_t n)
+{
+    return n < 6 ? (uint64_t{1} << (size_t{1} << n)) - 1 : ~uint64_t{0};
+}
+
+/** Call fn(i) for every set bit i of @p b, ascending. */
+template <class Fn>
+void
+forEachBit(const std::vector<uint64_t> &b, Fn fn)
+{
+    for (size_t w = 0; w < b.size(); ++w)
+        for (uint64_t bits = b[w]; bits != 0; bits &= bits - 1)
+            fn((static_cast<uint64_t>(w) << 6) | std::countr_zero(bits));
+}
+
+/** x with bit @p q squeezed out. */
+uint64_t
+dropBit(uint64_t x, uint64_t q)
+{
+    const uint64_t low = (uint64_t{1} << q) - 1;
+    return (x & low) | ((x >> 1) & ~low);
+}
+
+/**
+ * Which x_q slices a PTM on qubit q reads: keep[v] when output x_q = v
+ * reads input x_q = v, cross[v] when it reads input x_q = 1 - v (rows
+ * and columns I, Z have x_q = 0, X, Y have x_q = 1). NaN counts as
+ * nonzero.
+ */
+struct SliceDeps
+{
+    bool keep[2] = {true, true};
+    bool cross[2] = {false, false};
+};
+
+SliceDeps
+sliceDeps(const Ptm &m)
+{
+    const auto any = [&](int r0, int c0) {
+        return m[4 * r0 + c0] != 0.0 || m[4 * r0 + c0 + 1] != 0.0 ||
+               m[4 * r0 + c0 + 4] != 0.0 || m[4 * r0 + c0 + 5] != 0.0;
+    };
+    SliceDeps d;
+    d.keep[0] = any(0, 0);
+    d.cross[0] = any(0, 2);
+    d.cross[1] = any(2, 0);
+    d.keep[1] = any(2, 2);
+    return d;
+}
+
+/** The deps of an op's PTMs on q0 and q1 (none where it has no PTM). */
+std::pair<SliceDeps, SliceDeps>
+ptmDeps(const DmOp &op)
+{
+    const bool pair = op.kind == DmOpKind::Pair2q;
+    return {!pair || op.pre0 ? sliceDeps(op.s0) : SliceDeps{},
+            pair && op.pre1 ? sliceDeps(op.s1) : SliceDeps{}};
+}
+
+/** Call fn on each input slice that output slice x reads through a
+ *  PTM with deps @p d on qubit q. */
+template <class Fn>
+void
+forSliceDeps(uint64_t x, uint64_t q, const SliceDeps &d, Fn fn)
+{
+    const int v = static_cast<int>((x >> q) & 1);
+    if (d.keep[v])
+        fn(x);
+    if (d.cross[v])
+        fn(x ^ (uint64_t{1} << q));
+}
+
+/** The x map of a Pair2q permutation (each is its own inverse). */
+uint64_t
+permuteX(PairPerm perm, uint64_t x, uint64_t a, uint64_t b)
+{
+    const uint64_t xa = (x >> a) & 1, xb = (x >> b) & 1;
+    switch (perm) {
+      case PairPerm::CX:
+        return x ^ (xa << b);
+      case PairPerm::Swap:
+        return xa == xb ? x : x ^ (uint64_t{1} << a) ^ (uint64_t{1} << b);
+      default:
+        return x;
+    }
+}
+
+/** Passes whose groups cover at least kWholeNum / kWholeDen of them run
+ *  whole: the skipped rest would not pay for the split. (8q NISQ H2O
+ *  runs 0.73 of the pass work at 15/16; at 3/4 it ran 0.82 and gained
+ *  nothing on the all-slices plan.) */
+constexpr size_t kWholeNum = 15, kWholeDen = 16;
+
+/**
+ * Plan a run of @p ops (kernels @p passes) from |0..0> that leaves the
+ * state valid on the x slices of sp.want.
+ *
+ * A forward walk records, per op, the qubits whose x bit is still zero
+ * in every slice (zero_x): a qubit's bit stays zero until a PTM block
+ * {I, Z} -> {X, Y} on it, a CX from a qubit whose bit is set, or a
+ * Swap with one. A backward walk from sp.want then gives, per op, the
+ * slices it must output; their groups (the slices that differ in the op's x bits)
+ * run, as ascending chunk ranges, and the op's input slices are those
+ * its PTM blocks and x map read, minus the known-zero ones. Reading a
+ * slice outside the plan only ever happens times an exact zero
+ * coefficient, or for a slice that is zero in every run.
+ *
+ * Fills @p sp (a DensityMatrix::SlicePlan): ranges from sp.want, and
+ * in sp.touched every slice a planned pass reads or writes, which the
+ * run must first reset to |0..0>'s values. O(ops x slices) bit work.
+ */
+template <class Plan>
+void
+planSlices(const std::vector<DmOp> &ops,
+           const std::vector<simd::PauliPass> &passes, size_t n, Plan &sp)
+{
+    std::vector<uint64_t> &zero_x = sp.zero_x, &touched = sp.touched;
+    std::vector<uint64_t> &cur = sp.cur, &next = sp.next;
+    std::vector<uint64_t> &group_bits = sp.groups;
+    simd::StreamRanges &plan = sp.ranges;
+    const size_t m = ops.size();
+    const uint64_t all_x = (uint64_t{1} << n) - 1;
+    zero_x.resize(m);
+    uint64_t zero = all_x;
+    for (size_t i = 0; i < m; ++i) {
+        const DmOp &op = ops[i];
+        zero_x[i] = zero;
+        const auto [da, db] = ptmDeps(op);
+        if (da.cross[1])
+            zero &= ~(uint64_t{1} << op.q0);
+        if (db.cross[1])
+            zero &= ~(uint64_t{1} << op.q1);
+        // A CX sets the target's bit where the control's is set; a
+        // Swap moves a set bit, but both bits then count as set, so
+        // the known-zero slices only shrink along the stream: a
+        // skipped slice never keeps a stale nonzero value.
+        const uint64_t za = (zero >> op.q0) & 1, zb = (zero >> op.q1) & 1;
+        if (op.perm == PairPerm::CX && !za)
+            zero &= ~(uint64_t{1} << op.q1);
+        else if (op.perm == PairPerm::Swap && !(za && zb))
+            zero &= ~((uint64_t{1} << op.q0) | (uint64_t{1} << op.q1));
+    }
+
+    cur = sp.want;
+    next.resize(cur.size());
+    touched = sp.want;
+    bool touched_all = false;
+    plan.ranges.clear();
+    plan.first.assign(m + 1, 0);
+    for (size_t i = m; i-- > 0;) {
+        const DmOp &op = ops[i];
+        const simd::PauliPass &pass = passes[i];
+        const bool pair = op.kind == DmOpKind::Pair2q;
+        const uint64_t a = op.q0, b = op.q1;
+        const uint64_t lo = pair ? std::min(a, b) : a;
+        const uint64_t hi = pair ? std::max(a, b) : a;
+        const size_t groups = size_t{1} << (n - (pair ? 2 : 1));
+        const auto [da, db] = ptmDeps(op);
+        const uint64_t zero_in = zero_x[i];
+
+        // The needed groups, then their runs as ascending chunk ranges.
+        group_bits.assign((groups + 63) / 64, 0);
+        std::fill(next.begin(), next.end(), 0);
+        const auto read = [&](uint64_t y) {
+            if ((y & zero_in) == 0)
+                setBit(next, y);
+        };
+        forEachBit(cur, [&](uint64_t x) {
+            setBit(group_bits,
+                   pair ? dropBit(dropBit(x, hi), lo) : dropBit(x, a));
+            if (!pair)
+                forSliceDeps(x, a, da, read);
+            else
+                forSliceDeps(permuteX(op.perm, x, a, b), b, db,
+                             [&](uint64_t y) { forSliceDeps(y, a, da, read); });
+        });
+        std::swap(cur, next);
+
+        const size_t first = plan.ranges.size();
+        size_t count = 0;
+        forEachBit(group_bits, [&](uint64_t g) {
+            ++count;
+            if (plan.ranges.size() > first && plan.ranges.back().c1 == g)
+                ++plan.ranges.back().c1;
+            else
+                plan.ranges.push_back({g, g + 1});
+        });
+        const size_t per_group = pass.chunks / groups;
+        if (per_group == 0 || pass.chunks % groups != 0 ||
+            count * kWholeDen >= groups * kWholeNum) {
+            plan.ranges.resize(first);
+            plan.ranges.push_back({0, pass.chunks});
+            touched_all = true;
+        } else {
+            const uint64_t bl = uint64_t{1} << lo, bh = uint64_t{1} << hi;
+            forEachBit(group_bits, [&](uint64_t g) {
+                const uint64_t x = simd::detail::insertZeroBit(g, lo);
+                const uint64_t x0 =
+                    pair ? simd::detail::insertZeroBit(x, hi) : x;
+                setBit(touched, x0);
+                setBit(touched, x0 | bl);
+                if (pair) {
+                    setBit(touched, x0 | bh);
+                    setBit(touched, x0 | bl | bh);
+                }
+            });
+            for (size_t k = first; k < plan.ranges.size(); ++k) {
+                plan.ranges[k].c0 *= per_group;
+                plan.ranges[k].c1 *= per_group;
+            }
+        }
+        plan.first[i] = plan.ranges.size() - first;
+    }
+    if (touched_all)
+        touched.assign(cur.size(), allSlicesWord(n));
+
+    // Passes were appended last to first, each ascending: restore the
+    // stream order and turn the counts into offsets.
+    std::reverse(plan.ranges.begin(), plan.ranges.end());
+    size_t offset = 0;
+    for (size_t i = 0; i < m; ++i) {
+        const size_t count = plan.first[i];
+        plan.first[i] = offset;
+        std::reverse(plan.ranges.begin() + static_cast<std::ptrdiff_t>(offset),
+                     plan.ranges.begin() +
+                         static_cast<std::ptrdiff_t>(offset + count));
+        offset += count;
+    }
+    plan.first[m] = offset;
+}
+
 /** Coefficient index (x << n) | z of @p p and the real part of
  *  i^(e - #Y) relating P = i^e X^x Z^z to sigma(x, z). */
 std::pair<uint64_t, double>
@@ -358,6 +632,8 @@ void
 DensityMatrix::setZeroState()
 {
     // |0><0| = prod_q (I + Z_q) / 2: every Z-type coefficient is 1.
+    pending_ = false;
+    stream_.clear();
     std::fill(data_.begin(), data_.end(), 0.0);
     std::fill_n(data_.begin(), dim(), 1.0);
 }
@@ -367,6 +643,8 @@ DensityMatrix::setPureState(const Statevector &psi)
 {
     if (psi.nQubits() != n_)
         throw std::invalid_argument("setPureState: width mismatch");
+    pending_ = false;
+    stream_.clear();
     forPauliRows(psi, [&](uint64_t x, const std::vector<double> &row) {
         std::copy(row.begin(), row.end(), data_.begin() + (x << n_));
     });
@@ -375,6 +653,7 @@ DensityMatrix::setPureState(const Statevector &psi)
 std::vector<std::complex<double>>
 DensityMatrix::toMatrix() const
 {
+    settleAll();
     std::vector<cd> m(data_.begin(), data_.end());
     // Per qubit, (c_I, c_Z, c_X, c_Y) -> (rho00, rho01, rho10, rho11) on
     // the quads at bits (n + q, q).
@@ -439,15 +718,79 @@ DensityMatrix::forkable() const
 void
 DensityMatrix::execute(const std::vector<DmOp> &ops)
 {
-    std::vector<simd::PauliPass> passes;
-    passes.reserve(ops.size());
-    for (const DmOp &op : ops) {
-        passes.push_back(op.kind == DmOpKind::Super1q
-                             ? quadPass(op.s0, op.q0, n_)
-                             : pairPass(op, n_));
-        simd::planPass(passes.back(), data_.size());
+    settleAll();
+    buildPasses(ops, n_, data_.size(), passes_);
+    planWhole(passes_, plan_.ranges);
+    simd::runPauliStream(data_.data(), data_.size(), passes_, plan_.ranges,
+                         forkable());
+}
+
+void
+DensityMatrix::prepare(std::vector<DmOp> stream)
+{
+    stream_ = std::move(stream);
+    pending_ = true;
+    valid_.assign((dim() + 63) / 64, 0);
+    try {
+        buildPasses(stream_, n_, data_.size(), passes_);
+    } catch (...) {
+        stream_.clear(); // a bad op leaves |0..0>
+        passes_.clear();
+        throw;
     }
-    simd::runPauliStream(data_.data(), data_.size(), passes, forkable());
+}
+
+const simd::RealVector &
+DensityMatrix::data() const
+{
+    settleAll();
+    return data_;
+}
+
+void
+DensityMatrix::settle(uint64_t x) const
+{
+    if (!pending_ || hasBit(valid_, x))
+        return;
+    plan_.want = valid_;
+    setBit(plan_.want, x);
+    runPending();
+}
+
+void
+DensityMatrix::settleAll() const
+{
+    if (!pending_)
+        return;
+    plan_.want.assign(valid_.size(), allSlicesWord(n_));
+    runPending();
+}
+
+void
+DensityMatrix::runPending() const
+{
+    // A second run would repeat the first one's slices: run every slice
+    // instead, so any sequence of queries on one prepared stream costs
+    // at most one pruned run and one full run.
+    if (std::any_of(valid_.begin(), valid_.end(),
+                    [](uint64_t w) { return w != 0; }))
+        plan_.want.assign(valid_.size(), allSlicesWord(n_));
+    planSlices(stream_, passes_, n_, plan_);
+    // |0..0>: the x = 0 slice is all ones, every other slice zero.
+    const size_t d = dim();
+    forEachBit(plan_.touched, [&](uint64_t x) {
+        std::fill_n(data_.begin() + static_cast<std::ptrdiff_t>(x * d), d,
+                    x == 0 ? 1.0 : 0.0);
+    });
+    simd::runPauliStream(data_.data(), data_.size(), passes_, plan_.ranges,
+                         forkable());
+    valid_ = plan_.want;
+    if (std::all_of(valid_.begin(), valid_.end(), [&](uint64_t w) {
+            return w == allSlicesWord(n_);
+        })) {
+        pending_ = false;
+        stream_.clear();
+    }
 }
 
 void
@@ -515,15 +858,17 @@ DensityMatrix::expectation(const PauliString &p) const
         throw std::invalid_argument(
             "DensityMatrix::expectation: size mismatch");
     const auto [index, sign] = coefficientOf(p, n_);
+    settle(index >> n_);
     return sign * data_[index];
 }
 
 double
 DensityMatrix::expectation(const Hamiltonian &h) const
 {
+    const std::vector<double> vals = expectationBatch(h);
     double energy = 0.0;
-    for (const auto &t : h.terms())
-        energy += t.coefficient * expectation(t.op);
+    for (size_t k = 0; k < vals.size(); ++k)
+        energy += h.terms()[k].coefficient * vals[k];
     return energy;
 }
 
@@ -534,6 +879,13 @@ DensityMatrix::expectationBatch(const Hamiltonian &h) const
         throw std::invalid_argument(
             "DensityMatrix::expectationBatch: size mismatch");
     const auto &terms = h.terms();
+    if (pending_) {
+        plan_.want = valid_;
+        for (const auto &t : terms)
+            setBit(plan_.want, coefficientOf(t.op, n_).first >> n_);
+        if (plan_.want != valid_)
+            runPending();
+    }
     std::vector<double> out(terms.size());
     for (size_t k = 0; k < terms.size(); ++k)
         out[k] = expectation(terms[k].op);
@@ -545,6 +897,7 @@ DensityMatrix::diagonalProbabilities() const
 {
     // p(b) = 2^-n sum_z c_z (-1)^(b . z): an in-place Walsh-Hadamard
     // transform of the Z-type coefficients.
+    settle(0);
     const size_t d = dim();
     std::vector<double> probs(data_.begin(), data_.begin() + d);
     walshHadamard(probs.data(), d);
@@ -557,12 +910,14 @@ DensityMatrix::diagonalProbabilities() const
 double
 DensityMatrix::trace() const
 {
+    settle(0);
     return data_[0];
 }
 
 double
 DensityMatrix::purity() const
 {
+    settleAll();
     double acc = 0.0;
     for (const double c : data_)
         acc += c * c;
@@ -574,6 +929,7 @@ DensityMatrix::fidelityWithPure(const Statevector &psi) const
 {
     if (psi.nQubits() != n_)
         throw std::invalid_argument("fidelityWithPure: width mismatch");
+    settleAll();
     // Tr(rho psi psi^dag) = 2^-n sum_P c_P(rho) c_P(psi).
     double acc = 0.0;
     forPauliRows(psi, [&](uint64_t x, const std::vector<double> &row) {
@@ -588,6 +944,7 @@ DensityMatrix::probabilityOfOne(size_t q) const
 {
     if (q >= n_)
         throw std::invalid_argument("probabilityOfOne: qubit out of range");
+    settle(0);
     return 0.5 * (data_[0] - data_[uint64_t{1} << q]);
 }
 

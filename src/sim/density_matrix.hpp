@@ -8,6 +8,13 @@
  * coefficients c_P = Tr(P rho) of rho = 2^-n sum_P c_P P (8 * 4^n
  * bytes). Gates and channels act as real Pauli transfer matrices, and a
  * Pauli expectation is one coefficient lookup.
+ *
+ * The coefficients of one X mask x form a contiguous slice of 2^n
+ * doubles, and every stream op keeps slices apart: CX/CZ/Swap map x
+ * linearly, and a PTM that keeps {I, Z} and {X, Y} apart keeps x_q. A
+ * stream prepared from |0..0> therefore runs lazily: each query
+ * executes only the slice groups that the slices it reads depend on
+ * (see DensityMatrix::prepare).
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
@@ -135,8 +142,9 @@ class DensityMatrix
     size_t nQubits() const { return n_; }
     size_t dim() const { return size_t{1} << n_; }
 
-    /** 64-byte-aligned Pauli coefficients (see the class comment). */
-    const simd::RealVector &data() const { return data_; }
+    /** 64-byte-aligned Pauli coefficients (see the class comment);
+     *  executes the whole pending stream first. */
+    const simd::RealVector &data() const;
 
     /**
      * The operator in the computational basis: element (i, j) =
@@ -158,10 +166,27 @@ class DensityMatrix
 
     /**
      * Execute a noisy stream (noise/noise_model.hpp compiles one per
-     * circuit and noise spec). Every op is elementwise per group, so
-     * the result is bit-identical at any thread count and on any ISA.
+     * circuit and noise spec) on the current state, now. Every op is
+     * elementwise per group, so the result is bit-identical at any
+     * thread count and on any ISA.
      */
     void execute(const std::vector<DmOp> &ops);
+
+    /**
+     * Reset to |0..0><0..0| and hold @p stream unexecuted. Each query
+     * below then runs it from |0..0> over only the x slices the
+     * coefficients it reads depend on: a backward walk from those
+     * slices marks, per op, the 2- or 4-slice groups to run, and the
+     * groups run through the same kernels as a full execution, so the
+     * values read are the full stream's bits. A qubit's x bit is zero
+     * until an op can set it, so its first PTM reads only x_q = 0.
+     * Every slice a run touches is first reset to |0..0>'s value, and
+     * slices a query already read stay valid until the next prepare; a
+     * query that needs more after that runs every slice.
+     * The const queries therefore write the state: use one
+     * DensityMatrix per thread.
+     */
+    void prepare(std::vector<DmOp> stream);
 
     /**
      * Split stream ops across the OpenMP team (default on; always
@@ -241,12 +266,39 @@ class DensityMatrix
     double probabilityOfOne(size_t q) const;
 
   private:
+    /** Bitmap over the 2^n x slices. */
+    using Slices = std::vector<uint64_t>;
+
     size_t n_;
-    simd::RealVector data_;
     bool parallel_ = true;
+    // A prepared stream stays pending until it has run over every
+    // slice; data_ holds its state on the slices of valid_.
+    mutable simd::RealVector data_;
+    mutable std::vector<DmOp> stream_;
+    mutable bool pending_ = false;
+    mutable Slices valid_;
+    mutable std::vector<simd::PauliPass> passes_;
+    /** Slice planning buffers, kept to reuse their capacity. */
+    struct SlicePlan
+    {
+        Slices want, touched, cur, next, groups;
+        std::vector<uint64_t> zero_x; ///< per op: qubits whose x bit is 0
+        simd::StreamRanges ranges;
+    };
+    mutable SlicePlan plan_;
 
     /** Parallel flag for this call: off inside a parallel region. */
     bool forkable() const;
+
+    /** Make the pending stream's state valid on slice @p x (or on
+     *  every slice) before a read. */
+    void settle(uint64_t x) const;
+    void settleAll() const;
+
+    /** Run the pending stream over the slices of plan_.want, or over
+     *  every slice when an earlier run left some valid; the slices run
+     *  are valid afterwards. */
+    void runPending() const;
 };
 
 } // namespace eftvqa

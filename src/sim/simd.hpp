@@ -1868,25 +1868,77 @@ planPass(PauliPass &p, size_t size)
     }
 }
 
+/** Work units [c0, c1) of one pass (see PauliPass::chunks). */
+struct PassRange
+{
+    size_t c0 = 0, c1 = 0;
+};
+
 /**
- * Run @p passes in order over [data, data + size). A large vector
- * runs them in one OpenMP region with a barrier after each pass; each
- * thread takes a fixed slice of every pass, and passes are elementwise,
- * so the bits never depend on the thread count.
+ * The work units each pass of a stream runs: pass i runs ranges
+ * [first[i], first[i + 1]), ascending and disjoint. A pass that runs
+ * whole has the one range [0, chunks).
+ */
+struct StreamRanges
+{
+    std::vector<PassRange> ranges;
+    std::vector<size_t> first; ///< one offset per pass, plus the end
+};
+
+namespace detail {
+
+/** Units [u0, u1) of pass @p p, counted along its ranges [r, end). */
+inline void
+runRanges(double *d, const PauliPass &p, const PassRange *r,
+          const PassRange *end, size_t u0, size_t u1)
+{
+    for (; r != end && u0 < u1; ++r) {
+        const size_t len = r->c1 - r->c0;
+        if (u0 < len)
+            runPass(d, p, r->c0 + u0, r->c0 + std::min(u1, len));
+        u0 = u0 > len ? u0 - len : 0;
+        u1 = u1 > len ? u1 - len : 0;
+    }
+}
+
+} // namespace detail
+
+/**
+ * Run @p passes in order over [data, data + size), each over its
+ * ranges of @p plan. When the passes average at least the fork grain,
+ * they run in one OpenMP region with a barrier after each pass; each
+ * thread takes a fixed slice of every pass's units along its ranges,
+ * and passes are elementwise, so the bits never depend on the thread
+ * count.
  */
 inline void
 runPauliStream(double *data, size_t size,
-               const std::vector<PauliPass> &passes, bool parallel)
+               const std::vector<PauliPass> &passes,
+               const StreamRanges &plan, bool parallel)
 {
+    const PassRange *r = plan.ranges.data();
+    const auto units = [&](size_t i) {
+        size_t u = 0;
+        for (size_t k = plan.first[i]; k < plan.first[i + 1]; ++k)
+            u += r[k].c1 - r[k].c0;
+        return u;
+    };
 #ifdef _OPENMP
-    if (parallel && size >= kParallelGrainAmps && omp_get_max_threads() > 1) {
+    size_t work = 0;
+    for (size_t i = 0; i < passes.size(); ++i)
+        work += units(i) * (size / passes[i].chunks);
+    if (parallel && !passes.empty() &&
+        work >= kParallelGrainAmps * passes.size() &&
+        omp_get_max_threads() > 1) {
 #pragma omp parallel
         {
             const auto t = static_cast<size_t>(omp_get_thread_num());
             const auto nt = static_cast<size_t>(omp_get_num_threads());
-            for (const PauliPass &p : passes) {
-                detail::runPass(data, p, p.chunks * t / nt,
-                                p.chunks * (t + 1) / nt);
+            for (size_t i = 0; i < passes.size(); ++i) {
+                const size_t u = units(i);
+                detail::runRanges(data, passes[i], r + plan.first[i],
+                                  r + plan.first[i + 1], u * t / nt,
+                                  u * (t + 1) / nt);
 #pragma omp barrier
             }
         }
@@ -1896,8 +1948,9 @@ runPauliStream(double *data, size_t size,
     (void)size;
     (void)parallel;
 #endif
-    for (const PauliPass &p : passes)
-        detail::runPass(data, p, 0, p.chunks);
+    for (size_t i = 0; i < passes.size(); ++i)
+        detail::runRanges(data, passes[i], r + plan.first[i],
+                          r + plan.first[i + 1], 0, units(i));
 }
 
 } // namespace simd

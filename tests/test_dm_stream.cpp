@@ -13,6 +13,10 @@
  *  - the tableau trajectory farm on random Clifford circuits with
  *    Pauli-only noise, whose mean energy must agree with the stream's
  *    exact energy within 4 sigma of the trajectory spread.
+ *
+ * A prepared stream runs lazily over the x slices a query reads; the
+ * pruned runs are pinned to the full stream's bits, and no value an
+ * earlier run left behind may reach a later query.
  */
 
 #include <gtest/gtest.h>
@@ -20,14 +24,22 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "sim/backend.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/simd.hpp"
 #include "stabilizer/noisy_clifford.hpp"
 
 using namespace eftvqa;
@@ -326,6 +338,51 @@ allChannelsSpec()
     return spec;
 }
 
+/** @p terms random Pauli strings (any X mask) with random weights. */
+Hamiltonian
+randomHamiltonian(size_t n, size_t terms, uint64_t seed)
+{
+    Rng rng(seed);
+    Hamiltonian h(n);
+    for (size_t t = 0; t < terms; ++t) {
+        std::string label(n, 'I');
+        for (char &c : label)
+            c = "IXYZ"[rng.uniformInt(4)];
+        h.addTerm(rng.uniform(-1.0, 1.0), label);
+    }
+    return h;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Equal bits, except that an exact zero may differ in sign: a pruned
+ *  run reads skipped slices only times exact zeros, and those can
+ *  flip the sign of a sum that is exactly zero. */
+bool
+sameValue(double a, double b)
+{
+    return sameBits(a, b) || (a == 0.0 && b == 0.0);
+}
+
+/** Restores the thread count and SIMD dispatch a test scope changed. */
+struct ExecutionGuard
+{
+#ifdef _OPENMP
+    int threads = omp_get_max_threads();
+    ~ExecutionGuard()
+    {
+        omp_set_num_threads(threads);
+        simd::setSimdMode(-1);
+    }
+#else
+    ~ExecutionGuard() { simd::setSimdMode(-1); }
+#endif
+};
+
 } // namespace
 
 TEST(DmStream, MatchesGateByGateReferenceOnRandomCircuits)
@@ -343,7 +400,7 @@ TEST(DmStream, MatchesGateByGateReferenceOnRandomCircuits)
                 ReferenceRho ref(n);
                 ref.run(c, specs[s]);
                 DensityMatrix rho(n);
-                runNoisyDensityMatrix(c, specs[s], rho);
+                rho.execute(compileNoisyStream(c, specs[s]));
 
                 // Compared in the computational basis.
                 const std::vector<cd> m = rho.toMatrix();
@@ -400,7 +457,7 @@ TEST(DmStream, ChannelMethodsKeepValidation)
     Gate unbound(GateType::Rz, 0);
     unbound.param = 0;
     c.add(unbound);
-    EXPECT_THROW(runNoisyDensityMatrix(c, DmNoiseSpec{}, rho),
+    EXPECT_THROW(rho.prepare(compileNoisyStream(c, DmNoiseSpec{})),
                  std::invalid_argument);
 }
 
@@ -469,4 +526,138 @@ TEST(DmStream, TrajectoryFarmAgreesWithinFourSigma)
                   4.0 * sigma)
             << "seed=" << seed;
     }
+}
+
+TEST(DmStream, PrunedRunsMatchTheFullStream)
+{
+    // Each query of a prepared stream runs only the slice groups its
+    // coefficients depend on. Against the stream executed whole (the
+    // eager path, every group of every pass), on random circuits over
+    // every gate type, with Measure/Reset, mid-circuit and trailing
+    // rotations and pairs on qubits 0/1, for random Hamiltonians at 1
+    // and 4 threads, scalar and vector kernels.
+    const DmNoiseSpec specs[] = {nisqDmSpec(NisqParams{}),
+                                 pqecDmSpec(PqecParams{}), allChannelsSpec()};
+    ExecutionGuard guard;
+#ifdef _OPENMP
+    const int thread_counts[] = {1, 4};
+#else
+    const int thread_counts[] = {1};
+#endif
+    size_t checked = 0;
+    for (const int threads : thread_counts)
+        for (const int simd_mode : {0, -1}) {
+#ifdef _OPENMP
+            omp_set_num_threads(threads);
+#else
+            (void)threads;
+#endif
+            simd::setSimdMode(simd_mode);
+            for (size_t n = 1; n <= 8; ++n)
+                for (uint64_t seed = 0; seed < 3; ++seed) {
+                    const Circuit c =
+                        randomNoisyCircuit(n, 12 + 4 * n, 9100 * n + seed);
+                    const Hamiltonian h =
+                        randomHamiltonian(n, 1 + n, 31 * n + seed);
+                    const DmNoiseSpec &spec = specs[(n + seed) % 3];
+                    const std::vector<DmOp> ops = compileNoisyStream(c, spec);
+                    DensityMatrix full(n);
+                    full.execute(ops);
+                    DensityMatrix pruned(n);
+                    pruned.prepare(ops);
+                    const std::vector<double> want = full.expectationBatch(h);
+                    const std::vector<double> got = pruned.expectationBatch(h);
+                    ASSERT_EQ(got.size(), want.size());
+                    for (size_t k = 0; k < want.size(); ++k)
+                        EXPECT_TRUE(sameValue(got[k], want[k]))
+                            << "n=" << n << " seed=" << seed << " term " << k
+                            << ": " << got[k] << " vs " << want[k];
+                    EXPECT_TRUE(sameBits(full.expectation(h),
+                                         pruned.expectation(h)))
+                        << "n=" << n << " seed=" << seed;
+                    ++checked;
+                }
+        }
+    EXPECT_GE(checked, 48u);
+}
+
+TEST(DmStream, NoStaleSliceReachesALaterRun)
+{
+    // A NaN rotation poisons every coefficient it reaches; the next
+    // prepared circuit on the same backend must give a fresh
+    // backend's bits, for its energy terms and for its samples.
+    const size_t n = 6;
+    const sim::NoiseModel noise = sim::NoiseModel::nisq();
+    Circuit poisoned(n);
+    for (uint32_t q = 0; q < n; ++q)
+        poisoned.add(Gate::rotation(GateType::Ry, q,
+                                    std::numeric_limits<double>::quiet_NaN()));
+    for (uint32_t q = 0; q + 1 < n; ++q)
+        poisoned.cx(q, q + 1);
+    const Circuit valid = randomNoisyCircuit(n, 40, 77);
+    const Hamiltonian h = randomHamiltonian(n, 12, 5);
+
+    auto used = sim::makeBackend(sim::BackendKind::DensityMatrix, n, &noise);
+    used->prepare(poisoned);
+    const Hamiltonian everything = randomHamiltonian(n, 64, 6);
+    EXPECT_TRUE(std::isnan(used->energy(everything)));
+    used->prepare(valid);
+    auto fresh = sim::makeBackend(sim::BackendKind::DensityMatrix, n, &noise);
+    fresh->prepare(valid);
+
+    const std::vector<double> a = used->expectationBatch(h);
+    const std::vector<double> b = fresh->expectationBatch(h);
+    for (size_t k = 0; k < a.size(); ++k)
+        EXPECT_TRUE(sameBits(a[k], b[k])) << "term " << k;
+    Rng ra(11), rb(11);
+    EXPECT_EQ(used->sample(64, ra), fresh->sample(64, rb));
+}
+
+TEST(DmStream, StateQueriesAfterAPrunedRunMatchAFullRun)
+{
+    // After a pruned expectationBatch, every other query executes what
+    // it reads and must equal a run of the whole stream.
+    const size_t n = 5;
+    const sim::NoiseModel noise = sim::NoiseModel::pqec();
+    const Circuit c = randomNoisyCircuit(n, 36, 404);
+    const std::vector<DmOp> ops = compileNoisyStream(c, noise.dm);
+    const Hamiltonian h = randomHamiltonian(n, 3, 8);
+
+    DensityMatrix full(n);
+    full.execute(ops);
+    const auto fresh = [&] {
+        DensityMatrix rho(n);
+        rho.prepare(ops);
+        rho.expectationBatch(h);
+        return rho;
+    };
+    EXPECT_TRUE(sameBits(fresh().purity(), full.purity()));
+    EXPECT_TRUE(sameBits(fresh().trace(), full.trace()));
+    const std::vector<cd> m = fresh().toMatrix(), mf = full.toMatrix();
+    ASSERT_EQ(m.size(), mf.size());
+    for (size_t i = 0; i < m.size(); ++i)
+        EXPECT_TRUE(sameValue(m[i].real(), mf[i].real()) &&
+                    sameValue(m[i].imag(), mf[i].imag()))
+            << "element " << i;
+    const std::vector<double> p = fresh().diagonalProbabilities(),
+                              pf = full.diagonalProbabilities();
+    for (size_t i = 0; i < p.size(); ++i)
+        EXPECT_TRUE(sameValue(p[i], pf[i])) << "basis state " << i;
+    const Hamiltonian other = randomHamiltonian(n, 16, 9);
+    DensityMatrix rho = fresh();
+    for (const auto &t : other.terms())
+        EXPECT_TRUE(sameValue(rho.expectation(t.op), full.expectation(t.op)))
+            << t.op.toString();
+
+    auto pruned = sim::makeBackend(sim::BackendKind::DensityMatrix, n, &noise);
+    pruned->prepare(c);
+    pruned->expectationBatch(h);
+    auto whole = sim::makeBackend(sim::BackendKind::DensityMatrix, n, &noise);
+    whole->prepare(c);
+    Rng ra(3), rb(3);
+    EXPECT_EQ(pruned->sample(128, ra), whole->sample(128, rb));
+    for (const auto &t : other.terms())
+        EXPECT_TRUE(sameValue(pruned->expectation(t.op),
+                              whole->expectation(t.op)))
+            << t.op.toString();
 }

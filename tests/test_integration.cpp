@@ -127,7 +127,7 @@ TEST(Integration, VarsawImprovesBothRegimes)
         // Mitigated energy: divide each term's damped expectation back.
         const auto bound = ansatz.bind(noisy.params);
         DensityMatrix rho(static_cast<size_t>(n));
-        runNoisyDensityMatrix(bound, spec, rho);
+        rho.prepare(compileNoisyStream(bound, spec));
         const auto cal =
             ReadoutCalibration::uniform(static_cast<size_t>(n), q);
         std::vector<double> damped;

@@ -18,6 +18,7 @@
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
+#include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
@@ -451,16 +452,22 @@ TEST(ParallelDeterminism, ContentHashDistinguishesCircuits)
 TEST(ParallelDeterminism, NoisyDensityMatrixEnergyThreadAndIsaInvariant)
 {
     // The noisy DM stream splits each op across the OpenMP team and
-    // runs vector kernels where the pair bits allow: the 8-qubit FCHE
-    // energies must keep every bit at 1 and 4 threads, with the SIMD
-    // dispatch pinned to scalar and left on auto.
+    // runs vector kernels where the pair bits allow, over only the
+    // slices the terms read: the 8-qubit FCHE energies (Heisenberg,
+    // Ising and the 367-term H2O) must keep every bit at 1 and 4
+    // threads, with the SIMD dispatch pinned to scalar and left on
+    // auto.
     const auto ansatz = fcheAnsatz(8, 1);
     Rng rng(2024);
     std::vector<double> params(ansatz.nParameters());
     for (auto &p : params)
         p = rng.uniform(-M_PI, M_PI);
     const Circuit circuit = ansatz.bind(params);
-    const auto ham = heisenbergHamiltonian(8, 1.0);
+    MoleculeSpec h2o;
+    h2o.n_qubits = 8;
+    const Hamiltonian hams[] = {heisenbergHamiltonian(8, 1.0),
+                                isingHamiltonian(8, 1.0),
+                                moleculeHamiltonian(h2o)};
     const DmNoiseSpec specs[] = {nisqDmSpec(NisqParams{}),
                                  pqecDmSpec(PqecParams{})};
 
@@ -470,26 +477,27 @@ TEST(ParallelDeterminism, NoisyDensityMatrixEnergyThreadAndIsaInvariant)
 #else
     const int thread_counts[] = {1};
 #endif
-    for (const DmNoiseSpec &spec : specs) {
-        std::vector<double> energies;
-        for (const int simd_mode : {0, -1})
-            for (const int threads : thread_counts) {
+    for (const Hamiltonian &ham : hams)
+        for (const DmNoiseSpec &spec : specs) {
+            std::vector<double> energies;
+            for (const int simd_mode : {0, -1})
+                for (const int threads : thread_counts) {
 #ifdef _OPENMP
-                omp_set_num_threads(threads);
+                    omp_set_num_threads(threads);
 #else
-                (void)threads;
+                    (void)threads;
 #endif
-                simd::setSimdMode(simd_mode);
-                energies.push_back(
-                    noisyDensityMatrixEnergy(circuit, ham, spec));
-            }
-        simd::setSimdMode(-1);
+                    simd::setSimdMode(simd_mode);
+                    energies.push_back(
+                        noisyDensityMatrixEnergy(circuit, ham, spec));
+                }
+            simd::setSimdMode(-1);
 #ifdef _OPENMP
-        omp_set_num_threads(max_threads);
+            omp_set_num_threads(max_threads);
 #endif
-        for (size_t k = 1; k < energies.size(); ++k)
-            EXPECT_EQ(energies[k], energies[0]) << "run " << k;
-    }
+            for (size_t k = 1; k < energies.size(); ++k)
+                EXPECT_EQ(energies[k], energies[0]) << "run " << k;
+        }
 }
 
 TEST(ParallelDeterminism, TruncateGatesRewindsToPrefix)

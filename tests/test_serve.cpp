@@ -4,7 +4,8 @@
  * behind its server-resident caches, wire-level request validation, request coalescing pinned to
  * exactly one evaluation, the determinism contract (daemon result
  * bytes == local in-process bytes), admission control (quota / busy /
- * draining), the client-disconnect cancellation seam, graceful drain —
+ * draining), the client-disconnect cancellation seam, graceful drain,
+ * a client that never reads its replies —
  * and the PR's satellite probe points: the tableau trajectory loops
  * honoring CancelToken mid-evaluation.
  *
@@ -14,6 +15,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -747,6 +751,57 @@ TEST(Daemon, DrainsInFlightWorkAndRejectsNewRequests)
     EXPECT_EQ(stats.cells_completed, 1u);
     EXPECT_EQ(stats.rejected_draining, 1u);
     daemon.stop(); // explicit stop after drain — the vqad sequence
+}
+
+TEST(Daemon, AClientThatNeverReadsCannotStallTheOthers)
+{
+    // One client sends stats requests and never reads a reply. Its
+    // replies fill the socket, then its bounded outbox, and the daemon
+    // drops it; meanwhile another client's ping is answered within 1 s,
+    // and drain still finishes.
+    resetSynthState(true);
+    const serve::ServeConfig config = baseConfig("serve_hog.sock");
+    serve::Daemon daemon(config, synthCatalog());
+    serve::DaemonClient hog =
+        serve::DaemonClient::connectUnix(config.socket_path);
+    std::thread spam([&] {
+        for (int i = 0; i < 20000; ++i)
+            if (!writeFrame(hog.fd(), "{\"type\":\"stats\",\"id\":1}"))
+                break;
+    });
+    struct Joiner // unblocks and joins the spammer on every exit path
+    {
+        int fd;
+        std::thread &thread;
+        ~Joiner()
+        {
+            shutdown(fd, SHUT_RDWR);
+            thread.join();
+        }
+    } joiner{hog.fd(), spam};
+    EXPECT_TRUE(eventually([&] { return daemon.stats().requests_total > 300; }));
+
+    serve::DaemonClient other =
+        serve::DaemonClient::connectUnix(config.socket_path);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(other.sendPing(42));
+    pollfd ready{other.fd(), POLLIN, 0};
+    const bool answered = poll(&ready, 1, 1000) == 1;
+    EXPECT_TRUE(answered) << "ping unanswered after 1 s";
+    serve::DaemonReply reply;
+    if (answered) {
+        ASSERT_TRUE(other.readReply(reply));
+        EXPECT_EQ(reply.type, "pong");
+        EXPECT_EQ(reply.id, 42);
+        EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+    }
+
+    EXPECT_TRUE(eventually(
+        [&] { return daemon.stats().slow_clients_dropped == 1; }));
+    shutdown(hog.fd(), SHUT_RDWR); // a daemon stuck on the hog fails, not hangs
+    daemon.beginDrain();
+    daemon.waitDrained();
+    daemon.stop();
 }
 
 // --------------------------------------------------------------------
