@@ -61,12 +61,10 @@ main(int argc, char **argv)
         return row;
     };
 
-    bench::applyFaultArgs(args, sweep);
-    SweepRunner runner(std::move(sweep));
     const std::unique_ptr<SweepSink> cells =
         bench::openCellStore(args, "ablation_rz_cnot_ratio");
     const SweepReport report =
-        runner.run(cell_fn, cells.get());
+        bench::runSweep(args, std::move(sweep), cell_fn, cells.get());
 
     AsciiTable table({"Ansatz", "N=8", "N=16", "N=32", "N=64",
                       "crossover N"});
@@ -94,14 +92,7 @@ main(int argc, char **argv)
                      cnotToRzRatio(AnsatzKind::BlockedAllToAll, 13), 4)
               << " (just above 0.76)\n";
 
-    if (cells) {
-        std::cout << "sweep: " << report.cells << " cells, "
-                  << report.executed << " executed, " << report.skipped
-                  << " skipped";
-        if (report.failed > 0)
-            std::cout << ", " << report.failed << " quarantined";
-        std::cout << " -> " << args.cells << "\n";
-    }
+    bench::printSweepSummary(args, report);
 
     if (!args.out.empty()) {
         auto os = bench::openJsonOut(args.out);

@@ -19,7 +19,8 @@
  *                  one back out with `vqastore export`
  *   --store <path> alias for --cells
  *   --retry-failed re-execute cells the store holds quarantine
- *                  markers for (implies FaultPolicy::isolate)
+ *                  markers for (implies FaultPolicy::isolate; works
+ *                  with --daemon too)
  *   --cell-timeout <ms>  per-cell soft deadline in milliseconds
  *                  (implies FaultPolicy::isolate)
  *   --isolation <in_process|process>  run cells in forked worker
@@ -42,12 +43,18 @@
  *   --daemon <socket>  ship the sweep's cells to a running vqad
  *                  daemon (src/serve/) over its Unix socket instead of
  *                  evaluating locally; results are verified and stored
- *                  exactly as a local run would store them
+ *                  exactly as a local run would store them. Only the
+ *                  drivers of a served workload (fig12, fig14) take
+ *                  it, and not together with --cell-timeout,
+ *                  --cell-hard-timeout, --inject-abort or --workers:
+ *                  the daemon runs the cells and enforces its own
+ *                  --cell-timeout
  *
  * Numeric values are strict (common/cli_number.hpp): --workers takes
  * 0..4096, --inject-abort 0..1000, the timeouts 0..1e9 ms; a
  * negative, garbage, trailing-junk or out-of-range value prints the
- * usage and exits 2, like an unknown flag.
+ * usage and exits 2, like an unknown flag — and so does a flag that
+ * cannot apply (the --daemon refusals above).
  *
  * The JSON writer itself lives in src/common/json.hpp (the sweep
  * layer's cell store shares it); this header re-exports it under the
@@ -63,12 +70,15 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli_number.hpp"
 #include "common/json.hpp"
+#include "serve/client.hpp"
 #include "store/sink.hpp"
 #include "vqa/fault.hpp"
+#include "vqa/sweep.hpp"
 
 namespace eftvqa {
 namespace bench {
@@ -92,11 +102,29 @@ struct DriverArgs
     std::vector<std::string> merge_inputs; ///< the <in...> of --merge
     std::string daemon;          ///< --daemon <socket>: run via vqad
 
-    /** Parse argv; unknown flags print usage to stderr and exit(2). */
+    /** Parse argv; unknown flags, and flags that cannot apply, print
+     *  usage to stderr and exit(2). @p served: the driver's sweep is a
+     *  workload vqad serves, so --daemon can apply. */
     static DriverArgs
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, bool served = false)
     {
         DriverArgs args;
+        const auto usage = [argv](const std::string &why) {
+            if (!why.empty())
+                std::cerr << argv[0] << ": " << why << "\n";
+            std::cerr << "usage: " << argv[0]
+                      << " [--full|--smoke] [--out <json>] "
+                         "[--cells|--store <path>] "
+                         "[--retry-failed] "
+                         "[--cell-timeout <ms>] "
+                         "[--isolation in_process|process] "
+                         "[--workers <n>] "
+                         "[--cell-hard-timeout <ms>] "
+                         "[--inject-abort <n>] "
+                         "[--daemon <socket>] "
+                         "[--merge <out> <in...>]\n";
+            std::exit(2);
+        };
         for (int i = 1; i < argc; ++i) {
             bool ok = true;
             if (std::strcmp(argv[i], "--full") == 0) {
@@ -149,20 +177,24 @@ struct DriverArgs
             } else {
                 ok = false;
             }
-            if (!ok) {
-                std::cerr << "usage: " << argv[0]
-                          << " [--full|--smoke] [--out <json>] "
-                             "[--cells|--store <path>] "
-                             "[--retry-failed] "
-                             "[--cell-timeout <ms>] "
-                             "[--isolation in_process|process] "
-                             "[--workers <n>] "
-                             "[--cell-hard-timeout <ms>] "
-                             "[--inject-abort <n>] "
-                             "[--daemon <socket>] "
-                             "[--merge <out> <in...>]\n";
-                std::exit(2);
-            }
+            if (!ok)
+                usage("");
+        }
+        if (!args.daemon.empty()) {
+            if (!served)
+                usage("--daemon: this driver's sweep is not a workload "
+                      "vqad serves");
+            const std::pair<bool, const char *> local_only[] = {
+                {args.cell_timeout_ms > 0.0, "--cell-timeout"},
+                {args.cell_hard_timeout_ms > 0.0, "--cell-hard-timeout"},
+                {args.inject_abort > 0, "--inject-abort"},
+                {args.workers > 0, "--workers"},
+            };
+            for (const auto &[set, flag] : local_only)
+                if (set)
+                    usage(std::string(flag) +
+                          " cannot apply with --daemon: the daemon runs "
+                          "the cells and enforces its own --cell-timeout");
         }
         if (args.smoke)
             args.full = false; // CI size wins
@@ -178,24 +210,37 @@ struct DriverArgs
 };
 
 /**
- * Forward the fault-handling flags into a SweepSpec: either flag
- * switches the sweep to FaultPolicy::isolate so one bad cell cannot
- * poison the figure. Templated so non-sweep drivers can include this
- * header without pulling in the sweep layer.
+ * The one sweep call of every sweep driver: a SweepRunner over
+ * @p sweep, executing cells in process, in forked workers (--isolation
+ * process) or, with --daemon, on vqad. Any fault flag (or --daemon)
+ * switches to FaultPolicy::isolate so one bad cell cannot poison the
+ * figure; over the daemon --isolation process asks vqad to fork per
+ * cell, and a lost daemon exits 1 naming the cell.
  */
-template <class Spec>
-inline void
-applyFaultArgs(const DriverArgs &args, Spec &sweep)
+inline SweepReport
+runSweep(const DriverArgs &args, SweepSpec sweep, const SweepCellFn &fn,
+         SweepSink *sink)
 {
     const bool process = args.isolation == "process";
-    if (!args.retry_failed && args.cell_timeout_ms <= 0.0 &&
-        !process && args.inject_abort == 0)
-        return;
-    sweep.fault_policy = decltype(sweep.fault_policy)::isolate;
-    sweep.retry_failed = args.retry_failed;
-    sweep.cell_timeout_ms = args.cell_timeout_ms;
+    if (!args.daemon.empty() || args.retry_failed ||
+        args.cell_timeout_ms > 0.0 || process || args.inject_abort > 0) {
+        sweep.fault_policy = FaultPolicy::isolate;
+        sweep.retry_failed = args.retry_failed;
+        sweep.cell_timeout_ms = args.cell_timeout_ms;
+    }
+    if (!args.daemon.empty()) {
+        SweepRunner runner(std::move(sweep));
+        serve::DaemonCellSource source(args.daemon, runner.spec().name,
+                                       args.modeName(), process);
+        try {
+            return runner.run(source, sink);
+        } catch (const CellSourceLost &e) {
+            std::cerr << runner.spec().name << ": " << e.what() << "\n";
+            std::exit(1);
+        }
+    }
     if (process) {
-        sweep.isolation = decltype(sweep.isolation)::process;
+        sweep.isolation = IsolationMode::process;
         sweep.process_workers = args.workers;
         sweep.cell_hard_timeout_ms = args.cell_hard_timeout_ms;
         if (!args.cells.empty())
@@ -214,6 +259,22 @@ applyFaultArgs(const DriverArgs &args, Spec &sweep)
         if (sweep.cell_attempts < args.inject_abort + 1)
             sweep.cell_attempts = args.inject_abort + 1;
     }
+    SweepRunner runner(std::move(sweep));
+    return runner.run(fn, sink);
+}
+
+/** The "sweep: N cells, ..." line a driver prints after its table when
+ *  it keeps a --cells store. */
+inline void
+printSweepSummary(const DriverArgs &args, const SweepReport &report)
+{
+    if (args.cells.empty())
+        return;
+    std::cout << "sweep: " << report.cells << " cells, " << report.executed
+              << " executed, " << report.skipped << " skipped";
+    if (report.failed > 0)
+        std::cout << ", " << report.failed << " quarantined";
+    std::cout << " -> " << args.cells << "\n";
 }
 
 /**

@@ -25,12 +25,11 @@
 
 #include <iostream>
 #include <memory>
-#include <optional>
+#include <utility>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "driver_args.hpp"
-#include "serve/client.hpp"
 #include "serve/workloads.hpp"
 #include "vqa/sweep.hpp"
 
@@ -39,7 +38,7 @@ using namespace eftvqa;
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::DriverArgs::parse(argc, argv);
+    const auto args = bench::DriverArgs::parse(argc, argv, /*served=*/true);
     if (!args.merge_out.empty())
         return runStoreMergeCli(args.merge_inputs, args.merge_out,
                                 std::cout);
@@ -57,25 +56,8 @@ main(int argc, char **argv)
     const std::unique_ptr<SweepSink> cells =
         bench::openCellStore(args, "fig12_clifford_scale");
 
-    SweepReport report;
-    if (!args.daemon.empty()) {
-        // Daemon mode: same cells, evaluated server-side. Result lines
-        // are checksum- and key-verified before they reach the sink.
-        serve::DaemonClient client =
-            serve::DaemonClient::connectUnix(args.daemon);
-        serve::DaemonRunOptions options;
-        options.workload = "fig12_clifford_scale";
-        options.mode = args.modeName();
-        if (args.isolation == "process")
-            options.isolation = "process";
-        report = serve::runSweepViaDaemon(client, wl.spec.cells(),
-                                          options,
-                                          cells.get());
-    } else {
-        bench::applyFaultArgs(args, wl.spec);
-        SweepRunner runner(std::move(wl.spec));
-        report = runner.run(wl.fn, cells.get());
-    }
+    const SweepReport report =
+        bench::runSweep(args, std::move(wl.spec), wl.fn, cells.get());
 
     size_t r = 0;
     for (const char *family : {"ising", "heisenberg"}) {
@@ -103,14 +85,7 @@ main(int argc, char **argv)
                   << "\n\n";
     }
 
-    if (cells) {
-        std::cout << "sweep: " << report.cells << " cells, "
-                  << report.executed << " executed, " << report.skipped
-                  << " skipped";
-        if (report.failed > 0)
-            std::cout << ", " << report.failed << " quarantined";
-        std::cout << " -> " << args.cells << "\n";
-    }
+    bench::printSweepSummary(args, report);
 
     if (!args.out.empty()) {
         auto os = bench::openJsonOut(args.out);

@@ -134,12 +134,10 @@ main(int argc, char **argv)
         return row;
     };
 
-    bench::applyFaultArgs(args, sweep);
-    SweepRunner runner(std::move(sweep));
     const std::unique_ptr<SweepSink> cells =
         bench::openCellStore(args, "fig13_density_matrix_gamma");
     const SweepReport report =
-        runner.run(cell_fn, cells.get());
+        bench::runSweep(args, std::move(sweep), cell_fn, cells.get());
 
     AsciiTable table({"Benchmark", "E0", "E(NISQ)", "E(pQEC)", "gamma"});
     std::vector<double> gammas;
@@ -157,14 +155,7 @@ main(int argc, char **argv)
     std::cout << "\ngamma average = " << AsciiTable::num(mean(gammas), 4)
               << ", max = " << AsciiTable::num(maxOf(gammas), 4) << "\n";
 
-    if (cells) {
-        std::cout << "sweep: " << report.cells << " cells, "
-                  << report.executed << " executed, " << report.skipped
-                  << " skipped";
-        if (report.failed > 0)
-            std::cout << ", " << report.failed << " quarantined";
-        std::cout << " -> " << args.cells << "\n";
-    }
+    bench::printSweepSummary(args, report);
 
     if (!args.out.empty()) {
         auto os = bench::openJsonOut(args.out);

@@ -105,12 +105,10 @@ main(int argc, char **argv)
         return row;
     };
 
-    bench::applyFaultArgs(args, sweep);
-    SweepRunner runner(std::move(sweep));
     const std::unique_ptr<SweepSink> cells =
         bench::openCellStore(args, "fig15_varsaw");
     const SweepReport report =
-        runner.run(cell_fn, cells.get());
+        bench::runSweep(args, std::move(sweep), cell_fn, cells.get());
 
     AsciiTable table({"Benchmark", "Regime", "E (plain)", "E (VarSaw)",
                       "E0"});
@@ -130,14 +128,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (cells) {
-        std::cout << "sweep: " << report.cells << " cells, "
-                  << report.executed << " executed, " << report.skipped
-                  << " skipped";
-        if (report.failed > 0)
-            std::cout << ", " << report.failed << " quarantined";
-        std::cout << " -> " << args.cells << "\n";
-    }
+    bench::printSweepSummary(args, report);
 
     if (!args.out.empty()) {
         auto os = bench::openJsonOut(args.out);

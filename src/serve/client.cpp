@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -191,136 +191,53 @@ DaemonClient::stats()
     return reply;
 }
 
-SweepReport
-runSweepViaDaemon(DaemonClient &client,
-                  const std::vector<SweepCell> &cells,
-                  const DaemonRunOptions &options, SweepSink *sink)
+DaemonCellSource::DaemonCellSource(std::string socket_path,
+                                   std::string workload, std::string mode,
+                                   bool process_isolation)
+    : socket_path_(std::move(socket_path)), workload_(std::move(workload)),
+      mode_(std::move(mode)), isolation_(process_isolation ? "process" : "")
 {
-    if (options.workload.empty())
-        throw std::invalid_argument(
-            "runSweepViaDaemon: options.workload must name the "
-            "registered workload");
-    const size_t n = cells.size();
-    const size_t max_inflight =
-        options.max_inflight > 0 ? options.max_inflight : 1;
+}
 
-    SweepReport report;
-    report.cells = n;
-    std::vector<SweepRow> rows(n);
-    std::vector<CellOutcome> outcomes(n);
-    std::vector<char> done(n, 0);
-    std::vector<char> failed(n, 0);
-    std::vector<char> fresh(n, 0);
-
-    // Resume contract, exactly like SweepRunner::run: cells the sink
-    // already holds are carried, not re-requested.
-    std::vector<size_t> pending;
-    for (size_t i = 0; i < n; ++i) {
-        if (sink && sink->contains(cells[i])) {
-            rows[i] = sink->storedRow(cells[i]);
-            if (sink->quarantined(cells[i])) {
-                outcomes[i] = sink->storedOutcome(cells[i]);
-                failed[i] = 1;
+std::string
+DaemonCellSource::cellLine(const SweepCell &cell)
+{
+    std::optional<DaemonClient> client;
+    DaemonReply reply;
+    try {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!idle_.empty()) {
+                client.emplace(std::move(idle_.back()));
+                idle_.pop_back();
             }
-            done[i] = 1;
-            ++report.skipped;
-            continue;
         }
-        fresh[i] = 1;
-        pending.push_back(i);
+        if (!client)
+            client.emplace(DaemonClient::connectUnix(socket_path_));
+        const long long id = static_cast<long long>(cell.point.index) + 1;
+        if (!client->sendRun(id, workload_, mode_, cell.keyString(),
+                             isolation_))
+            throw std::runtime_error("daemon hung up mid-send");
+        // Skip stray frames (another request's id, a pong) until ours.
+        do {
+            if (!client->readReply(reply))
+                throw std::runtime_error(
+                    "daemon connection closed with a request outstanding");
+        } while (reply.id != id ||
+                 (reply.type != "ok" && reply.type != "err"));
+    } catch (const std::exception &e) {
+        throw CellSourceLost("vqad cell '" + cell.label + "': " + e.what());
     }
-    report.executed = pending.size();
-
-    // Pipeline: keep up to max_inflight requests outstanding; request
-    // id i+1 tags cell i. The daemon may answer out of order (another
-    // client can finish a coalesced cell first), so completions are
-    // buffered in rows[] and flushed to the sink in serial cell order.
-    std::map<long long, size_t> outstanding;
-    size_t next_send = 0;
-    size_t flushed = 0;
-
-    auto flush_prefix = [&] {
-        for (; flushed < n && done[flushed] != 0; ++flushed) {
-            if (!sink)
-                continue;
-            if (failed[flushed] != 0)
-                sink->writeQuarantined(cells[flushed],
-                                       outcomes[flushed]);
-            else
-                sink->write(cells[flushed], rows[flushed],
-                            fresh[flushed] != 0);
-        }
-    };
-    flush_prefix();
-
-    while (next_send < pending.size() || !outstanding.empty()) {
-        while (next_send < pending.size() &&
-               outstanding.size() < max_inflight) {
-            const size_t i = pending[next_send];
-            const long long id = static_cast<long long>(i) + 1;
-            if (!client.sendRun(id, options.workload, options.mode,
-                                cells[i].keyString(),
-                                options.isolation))
-                throw std::runtime_error(
-                    "runSweepViaDaemon: daemon hung up mid-send");
-            outstanding[id] = i;
-            ++next_send;
-        }
-
-        DaemonReply reply;
-        if (!client.readReply(reply))
-            throw std::runtime_error(
-                "runSweepViaDaemon: daemon connection closed with " +
-                std::to_string(outstanding.size()) +
-                " request(s) outstanding");
-        const auto it = outstanding.find(reply.id);
-        if (it == outstanding.end())
-            continue; // stray frame (e.g. a stats reply); ignore
-        const size_t i = it->second;
-        outstanding.erase(it);
-
-        CellOutcome outcome;
-        outcome.attempts = 1;
-        if (reply.type == "ok") {
-            std::string key;
-            std::string label;
-            SweepRow row;
-            if (!storefmt::parseChecksummedLine(reply.payload, key,
-                                                label, row))
-                throw std::runtime_error(
-                    "runSweepViaDaemon: daemon returned a corrupt "
-                    "result line for cell '" + cells[i].label + "'");
-            if (key != cells[i].keyString())
-                throw std::runtime_error(
-                    "runSweepViaDaemon: daemon returned a result for "
-                    "key " + key + " to cell '" + cells[i].label +
-                    "' (" + cells[i].keyString() + ")");
-            rows[i] = std::move(row);
-            outcome.ok = true;
-        } else if (reply.type == "err") {
-            outcome.ok = false;
-            outcome.category = errorCategoryFromName(reply.category);
-            outcome.error = reply.code.empty()
-                                ? reply.error
-                                : reply.code + ": " + reply.error;
-            rows[i] = quarantineRowFor(outcome);
-            failed[i] = 1;
-        } else {
-            continue; // pong or other non-result frame with our id
-        }
-        outcomes[i] = std::move(outcome);
-        done[i] = 1;
-        flush_prefix();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(std::move(*client));
     }
-    flush_prefix();
-
-    for (const char f : failed)
-        report.failed += f != 0 ? 1 : 0;
-    report.outcomes = std::move(outcomes);
-    report.rows = std::move(rows);
-    if (sink)
-        sink->finish(report);
-    return report;
+    if (reply.type == "err")
+        throw RemoteCellError(errorCategoryFromName(reply.category),
+                              reply.code.empty()
+                                  ? reply.error
+                                  : reply.code + ": " + reply.error);
+    return reply.payload;
 }
 
 } // namespace serve

@@ -4,21 +4,21 @@
  *
  * DaemonClient is a thin blocking connection: connect over the Unix
  * socket (or loopback TCP), send request frames, read reply frames.
- * runSweepViaDaemon() is the drivers' `--daemon <socket>` engine: it
- * walks a workload's expanded cells exactly like SweepRunner::run —
- * same sink skip/resume contract, same serial-cell-order writes, same
- * SweepReport — but ships each cell to the daemon instead of
- * evaluating it, pipelining up to the client quota. Replies carry the
- * checksummed store line; the client verifies the checksum and the
- * key before trusting a row, exactly like the ProcessPool supervisor
- * does, so the store a daemon-backed driver writes is byte-identical
- * to a local run's.
+ * DaemonCellSource is the drivers' `--daemon <socket>` executor: a
+ * CellLineSource behind SweepRunner::run, so a daemon-backed sweep
+ * gets the runner's resume, retries, quarantine, serial-order sink
+ * writes and report — the same code as an in-process or process-
+ * isolated sweep. Replies carry the checksummed store line, which the
+ * runner verifies (checksum and key) before trusting a row, so the
+ * store a daemon-backed driver writes is byte-identical to a local
+ * run's.
  */
 
 #ifndef EFTVQA_SERVE_CLIENT_HPP
 #define EFTVQA_SERVE_CLIENT_HPP
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,31 +84,33 @@ class DaemonClient
     int fd_ = -1;
 };
 
-/** How runSweepViaDaemon drives the daemon. */
-struct DaemonRunOptions
-{
-    std::string workload; ///< registered workload name (required)
-    std::string mode = "default";
-    /** Concurrent outstanding requests (bounded client-side; the
-     *  daemon's per-client quota caps it anyway). */
-    size_t max_inflight = 4;
-    /** "" = daemon default (in-process), or "process" for per-request
-     *  worker-process isolation. */
-    std::string isolation;
-};
-
 /**
- * Execute @p cells against a daemon: skip cells the sink already
- * holds (the resume contract), pipeline the rest, verify each reply's
- * checksum and key, and stream rows to @p sink in serial cell order.
- * Structured "err" replies become quarantine records (sink
- * writeQuarantined + report.outcomes), mirroring FaultPolicy::isolate.
- * Throws std::runtime_error when the daemon connection dies mid-run.
+ * The vqad daemon as a SweepRunner cell executor: each cellLine() asks
+ * the daemon for one cell of @p workload in @p mode and blocks for the
+ * reply. Thread-safe: every runner thread takes its own connection
+ * (one request in flight on each; SweepSpec::cell_workers sets how
+ * many). An "err" reply throws RemoteCellError with the reply's
+ * category — a cell failure the runner retries and quarantines; a
+ * lost, refused or corrupt connection throws CellSourceLost, which
+ * ends the run. @p process_isolation asks the daemon to run each cell
+ * in a forked worker.
  */
-SweepReport runSweepViaDaemon(DaemonClient &client,
-                              const std::vector<SweepCell> &cells,
-                              const DaemonRunOptions &options,
-                              SweepSink *sink = nullptr);
+class DaemonCellSource final : public CellLineSource
+{
+  public:
+    DaemonCellSource(std::string socket_path, std::string workload,
+                     std::string mode, bool process_isolation = false);
+
+    std::string cellLine(const SweepCell &cell) override;
+
+  private:
+    std::string socket_path_;
+    std::string workload_;
+    std::string mode_;
+    std::string isolation_;
+    std::mutex mutex_;
+    std::vector<DaemonClient> idle_; ///< connections between requests
+};
 
 } // namespace serve
 } // namespace eftvqa

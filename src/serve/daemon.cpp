@@ -664,12 +664,18 @@ Daemon::executeJob(const std::shared_ptr<Job> &job)
         job->error = "cancelled before execution (client disconnect)";
     } else {
         cells_active_.fetch_add(1, std::memory_order_relaxed);
-        if (config_.cell_timeout_ms > 0.0)
-            job->token->setDeadline(config_.cell_timeout_ms);
         try {
-            job->line = job->process_isolation
-                            ? runJobInWorkerProcess(*job)
-                            : runJobInProcess(*job);
+            // In process: the sweep layer's one cell recipe on the
+            // server-resident caches, so the line is byte-identical
+            // to a local run's.
+            job->line =
+                job->process_isolation
+                    ? runJobInWorkerProcess(*job)
+                    : cellLine(*job->cell,
+                               runCellSession(*job->cell, job->fn,
+                                              energy_cache_,
+                                              config_.cell_timeout_ms,
+                                              job->token, compile_cache_));
             job->ok = true;
             cells_completed_.fetch_add(1, std::memory_order_relaxed);
         } catch (...) {
@@ -693,24 +699,6 @@ Daemon::executeJob(const std::shared_ptr<Job> &job)
 }
 
 std::string
-Daemon::runJobInProcess(const Job &job)
-{
-    // Fresh session per job, attached to the server-resident caches —
-    // exactly the SweepRunner in-process recipe, so the row (and the
-    // store line built from it) is byte-identical to a local run.
-    ExperimentSession session(job.cell->experiment,
-                              job.cell->experiment.share_cache
-                                  ? energy_cache_
-                                  : nullptr);
-    session.attachCompileCache(compile_cache_);
-    session.setCancelToken(job.token);
-    CancelScope scope(job.token.get());
-    const SweepRow row = job.fn(*job.cell, session);
-    return storefmt::checksummedCellLine(storefmt::serializeCellPayload(
-        job.key, job.cell->label, row));
-}
-
-std::string
 Daemon::runJobInWorkerProcess(const Job &job)
 {
     // Per-request process isolation: a one-shot single-task
@@ -727,18 +715,9 @@ Daemon::runJobInWorkerProcess(const Job &job)
     const double timeout_ms = config_.cell_timeout_ms;
     ProcessPool pool(std::move(config), std::move(tasks),
                      [cell, fn, timeout_ms](size_t) {
-                         std::shared_ptr<CancelToken> token;
-                         if (timeout_ms > 0.0) {
-                             token = std::make_shared<CancelToken>();
-                             token->setDeadline(timeout_ms);
-                         }
-                         ExperimentSession session(cell->experiment);
-                         if (token)
-                             session.setCancelToken(token);
-                         const SweepRow row = fn(*cell, session);
-                         return storefmt::checksummedCellLine(
-                             storefmt::serializeCellPayload(
-                                 cell->keyString(), cell->label, row));
+                         return cellLine(*cell, runCellSession(*cell, fn,
+                                                               nullptr,
+                                                               timeout_ms));
                      });
     return pool.runTask(0);
 }

@@ -255,7 +255,6 @@ class Daemon
     void closeConnection(size_t index);
     void drainCompletions();
     void executeJob(const std::shared_ptr<Job> &job);
-    std::string runJobInProcess(const Job &job);
     std::string runJobInWorkerProcess(const Job &job);
     bool sendFrame(Connection &conn, const std::string &payload);
     bool flushOutbox(Connection &conn);

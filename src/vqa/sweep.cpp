@@ -1,5 +1,6 @@
 #include "vqa/sweep.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -534,13 +535,143 @@ SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec))
         cache_ = std::make_shared<SharedEnergyCache>(spec_.cache_capacity);
 }
 
+SweepRow
+runCellSession(const SweepCell &cell, const SweepCellFn &fn,
+               std::shared_ptr<SharedEnergyCache> cache, double timeout_ms,
+               std::shared_ptr<CancelToken> token,
+               std::shared_ptr<SharedCompileCache> compile_cache)
+{
+    if (!token && timeout_ms > 0.0)
+        token = std::make_shared<CancelToken>();
+    if (timeout_ms > 0.0)
+        token->setDeadline(timeout_ms);
+    // The shared caches are the only state a cell sees beyond its own
+    // session, and both are pure (hits equal what re-evaluation would
+    // produce), so results are independent of scheduling and executor.
+    ExperimentSession session(cell.experiment, cell.experiment.share_cache
+                                                   ? std::move(cache)
+                                                   : nullptr);
+    if (compile_cache)
+        session.attachCompileCache(std::move(compile_cache));
+    if (token)
+        session.setCancelToken(token);
+    CancelScope scope(token ? token.get() : activeCancelToken());
+    return fn(cell, session);
+}
+
+std::string
+cellLine(const SweepCell &cell, const SweepRow &row)
+{
+    return storefmt::checksummedCellLine(
+        storefmt::serializeCellPayload(cell.keyString(), cell.label, row));
+}
+
+namespace {
+
+/** ProcessPool as a CellLineSource: tasks are the runner's cells in
+ *  serial order, so a cell crosses the wire as its index. */
+class ProcessPoolSource final : public CellLineSource
+{
+  public:
+    explicit ProcessPoolSource(ProcessPool &pool) : pool_(pool) {}
+
+    std::string cellLine(const SweepCell &cell) override
+    {
+        return pool_.runTask(cell.point.index);
+    }
+
+  private:
+    ProcessPool &pool_;
+};
+
+/** A source's line back to @p cell's row: the one integrity (checksum)
+ *  and identity (key) check every remote result passes. */
+SweepRow
+rowFromLine(const std::string &line, const SweepCell &cell)
+{
+    std::string key;
+    std::string label;
+    SweepRow row;
+    if (!storefmt::parseChecksummedLine(line, key, label, row))
+        throw std::runtime_error("cell source returned a corrupt result "
+                                 "line for cell '" + cell.label + "'");
+    if (key != cell.keyString())
+        throw std::runtime_error("cell source returned a result for key " +
+                                 key + " to cell '" + cell.label + "' (" +
+                                 cell.keyString() + ")");
+    return row;
+}
+
+} // namespace
+
 SweepReport
 SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
 {
     if (!fn)
         throw std::invalid_argument(
             "SweepRunner::run: the cell function must be set");
+    if (spec_.isolation != IsolationMode::process) {
+        SweepReport report = runCells(fn, nullptr, spec_.cell_workers, sink);
+        if (sink)
+            sink->finish(report);
+        return report;
+    }
 
+    // Process isolation: cells execute in forked workers (spawned
+    // lazily) under the ProcessPool supervisor.
+    ProcessPool::Config config;
+    config.workers = spec_.process_workers;
+    config.hard_timeout_ms = spec_.cell_hard_timeout_ms;
+    config.log_path = spec_.supervisor_log;
+    std::vector<ProcTask> tasks;
+    tasks.reserve(cells_.size());
+    for (const SweepCell &cell : cells_)
+        tasks.push_back({cell.point.index, cell.keyString(), cell.label});
+    // In the worker: a per-worker cache built after fork (pure, so it
+    // never changes rows); the line carries its own integrity check.
+    auto worker_cache = std::make_shared<std::shared_ptr<SharedEnergyCache>>();
+    ProcessPool procs(
+        std::move(config), std::move(tasks),
+        [this, &fn, worker_cache](size_t i) {
+            faultProbe("cell.start");
+            if (spec_.share_cache && !*worker_cache)
+                *worker_cache =
+                    std::make_shared<SharedEnergyCache>(spec_.cache_capacity);
+            return cellLine(cells_[i],
+                            runCellSession(cells_[i], fn, *worker_cache,
+                                           spec_.cell_timeout_ms));
+        });
+    ProcessPoolSource source(procs); // dispatch threads = worker target
+    SweepReport report = runCells(fn, &source, procs.workerTarget(), sink);
+    report.workers_spawned = procs.workersSpawned();
+    report.worker_crashes = procs.workerCrashes();
+    report.watchdog_kills = procs.watchdogKills();
+    if (sink)
+        sink->finish(report);
+    return report;
+}
+
+SweepReport
+SweepRunner::run(CellLineSource &source, SweepSink *sink)
+{
+    if (spec_.fault_policy != FaultPolicy::isolate ||
+        spec_.isolation == IsolationMode::process ||
+        spec_.cell_timeout_ms > 0.0)
+        throw std::invalid_argument(
+            "SweepRunner::run(source): a cell source requires "
+            "FaultPolicy::isolate (its failures retry and quarantine), "
+            "in_process isolation and no cell_timeout_ms (the source "
+            "decides where cells run and enforces its own deadline)");
+    SweepReport report = runCells({}, &source, spec_.cell_workers, sink);
+    if (sink)
+        sink->finish(report);
+    return report;
+}
+
+SweepReport
+SweepRunner::runCells(const SweepCellFn &fn, CellLineSource *source,
+                      size_t threads, SweepSink *sink)
+{
     const bool isolate = spec_.fault_policy == FaultPolicy::isolate;
     const size_t n = cells_.size();
     SweepReport report;
@@ -576,55 +707,6 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
     }
     report.executed = pending.size();
 
-    // Process isolation: cells execute in forked workers under the
-    // ProcessPool supervisor; this process only dispatches, parses and
-    // retries. Declared before the WorkerPool below so the dispatching
-    // threads are joined before the supervisor goes away.
-    std::unique_ptr<ProcessPool> procs;
-    if (spec_.isolation == IsolationMode::process && !pending.empty()) {
-        ProcessPool::Config config;
-        config.workers = spec_.process_workers;
-        config.hard_timeout_ms = spec_.cell_hard_timeout_ms;
-        config.log_path = spec_.supervisor_log;
-        std::vector<ProcTask> tasks;
-        tasks.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            tasks.push_back(
-                {i, cells_[i].keyString(), cells_[i].label});
-        // Runs in the forked worker process: one fresh session per
-        // cell, a per-worker shared cache (lazily built after fork —
-        // pure, so worker-local caching never changes rows), and the
-        // checksummed store line as the wire payload, so the result
-        // crosses the process boundary with its integrity check
-        // attached.
-        auto worker_cache =
-            std::make_shared<std::shared_ptr<SharedEnergyCache>>();
-        auto worker_fn = [this, &fn, worker_cache](size_t i) {
-            faultProbe("cell.start");
-            std::shared_ptr<CancelToken> token;
-            if (spec_.cell_timeout_ms > 0.0) {
-                token = std::make_shared<CancelToken>();
-                token->setDeadline(spec_.cell_timeout_ms);
-            }
-            std::shared_ptr<SharedEnergyCache> cache;
-            if (spec_.share_cache) {
-                if (!*worker_cache)
-                    *worker_cache = std::make_shared<SharedEnergyCache>(
-                        spec_.cache_capacity);
-                cache = *worker_cache;
-            }
-            ExperimentSession session(cells_[i].experiment, cache);
-            if (token)
-                session.setCancelToken(token);
-            const SweepRow row = fn(cells_[i], session);
-            return storefmt::checksummedCellLine(
-                storefmt::serializeCellPayload(cells_[i].keyString(),
-                                               cells_[i].label, row));
-        };
-        procs = std::make_unique<ProcessPool>(
-            std::move(config), std::move(tasks), std::move(worker_fn));
-    }
-
     std::mutex mutex;
     std::condition_variable cv;
     std::exception_ptr error;
@@ -644,49 +726,25 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
         for (size_t attempt = 1; attempt <= attempts; ++attempt) {
             outcome.attempts = attempt;
             try {
-                if (procs) {
-                    // The cell runs (and its cell.start probe fires)
-                    // in a worker process; a worker death surfaces
-                    // here as CrashError, a worker-caught exception as
-                    // RemoteCellError — both retry/quarantine exactly
-                    // like a locally thrown exception.
-                    const std::string line = procs->runTask(i);
-                    std::string key;
-                    std::string label;
-                    SweepRow parsed;
-                    if (!storefmt::parseChecksummedLine(line, key,
-                                                        label, parsed))
-                        throw std::runtime_error(
-                            "process worker returned a corrupt result "
-                            "line for cell '" + cells_[i].label + "'");
-                    if (key != cells_[i].keyString())
-                        throw std::runtime_error(
-                            "process worker returned a result for key " +
-                            key + " to cell '" + cells_[i].label +
-                            "' (" + cells_[i].keyString() + ")");
-                    row = std::move(parsed);
+                if (source) {
+                    // The cell runs elsewhere (its cell.start probe
+                    // fires there): a worker death surfaces here as
+                    // CrashError, a remote exception or daemon err
+                    // reply as RemoteCellError, a damaged line from
+                    // rowFromLine — all retry/quarantine exactly like
+                    // a locally thrown exception.
+                    row = rowFromLine(source->cellLine(cells_[i]),
+                                      cells_[i]);
                 } else {
                     faultProbe("cell.start");
-                    std::shared_ptr<CancelToken> token;
-                    if (spec_.cell_timeout_ms > 0.0) {
-                        token = std::make_shared<CancelToken>();
-                        token->setDeadline(spec_.cell_timeout_ms);
-                    }
-                    // Each cell owns a fresh session; the sweep-level
-                    // cache is the only shared state, and it is pure
-                    // (hits equal what re-evaluation would produce), so
-                    // results are independent of cell scheduling.
-                    ExperimentSession session(cells_[i].experiment,
-                                              spec_.share_cache
-                                                  ? cache_
-                                                  : nullptr);
-                    if (token)
-                        session.setCancelToken(token);
-                    row = fn(cells_[i], session);
+                    row = runCellSession(cells_[i], fn, cache_,
+                                         spec_.cell_timeout_ms);
                 }
                 outcome.ok = true;
                 outcome.error.clear();
                 break;
+            } catch (const CellSourceLost &) {
+                throw; // the executor is gone, not the cell
             } catch (...) {
                 if (!isolate)
                     throw;
@@ -740,10 +798,8 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
 
     std::unique_ptr<WorkerPool> pool;
     if (spec_.cell_workers != 1 && pending.size() > 1) {
-        // Under process isolation the threads only block on runTask,
-        // so size the pool to the worker-process target.
         pool = std::make_unique<WorkerPool>(
-            procs ? procs->workerTarget() : spec_.cell_workers);
+            threads == 0 ? 0 : std::min(threads, pending.size()));
         for (const size_t i : pending)
             pool->enqueue([&, i] {
                 {
@@ -801,13 +857,6 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
         report.cache_hits = cache_->hits() - hits0;
         report.cache_misses = cache_->misses() - misses0;
     }
-    if (procs) {
-        report.workers_spawned = procs->workersSpawned();
-        report.worker_crashes = procs->workerCrashes();
-        report.watchdog_kills = procs->watchdogKills();
-    }
-    if (sink)
-        sink->finish(report);
     return report;
 }
 

@@ -2,12 +2,8 @@
  * @file
  * Declarative grid sweeps over experiment sessions.
  *
- * PR 4 made a single (Hamiltonian, ansatz) experiment declarative
- * (vqa/experiment.hpp); the paper's figures are *sweeps* — fig12–15
- * each used to hand-roll `for (family) for (n) for (coupling)` loops
- * around ExperimentSession, re-inventing cell naming, JSON emission
- * and skip/resume logic per driver. This header is the top of that
- * stack:
+ * The paper's figures are grids of (Hamiltonian, ansatz) experiments
+ * (vqa/experiment.hpp); this header is the top of that stack:
  *
  *  - SweepSpec — the grid: a Hamiltonian family axis (Ising /
  *    Heisenberg / molecule factories from src/ham/), a size axis, a
@@ -50,19 +46,19 @@
  *    scratch, so surviving cells' rows are byte-identical to a
  *    fault-free run.
  *
- *  - IsolationMode — where cells execute. `process` runs each cell in
- *    a forked worker under the vqa/procpool.hpp watchdog supervisor,
- *    so crashes, OOM kills and wedged cells are contained and fed
- *    through the same retry/quarantine machinery; surviving rows stay
- *    byte-identical to an in-process run.
+ *  - IsolationMode / CellLineSource — where cells execute, all behind
+ *    SweepRunner::run and one cell recipe (runCellSession): threads of
+ *    this process, forked workers under the vqa/procpool.hpp watchdog
+ *    supervisor (`process` isolation contains crashes, OOM kills and
+ *    wedged cells), or a CellLineSource such as the vqad daemon's
+ *    serve::DaemonCellSource. Remote lines are verified in one place
+ *    and retry/quarantine like local throws; rows stay byte-identical.
  *  - mergeSweepStores — merges N partial binary stores (cells farmed
  *    across machines) into one: union by key, quarantine markers
  *    propagate until healed, byte conflicts fail loudly,
  *    order-independent and idempotent.
  *
- * A figure driver shrinks to spec construction + a cell function +
- * sink choice; the ROADMAP's process-level farming item distributes
- * exactly this API (cells are self-contained and content-keyed).
+ * A figure driver is spec construction + a cell function + a sink.
  */
 
 #ifndef EFTVQA_VQA_SWEEP_HPP
@@ -184,7 +180,7 @@ class SweepRow
 
 struct SweepReport;
 
-/** Where SweepRunner::run executes cells. */
+/** Where SweepRunner::run(fn, sink) executes cells. */
 enum class IsolationMode
 {
     /** Cells run on threads of this process (the historical and
@@ -296,6 +292,43 @@ class SweepSink
 using SweepCellFn =
     std::function<SweepRow(const SweepCell &, ExperimentSession &)>;
 
+/** The one cell recipe of every executor (runner threads, forked
+ *  workers, vqad jobs): @p fn on a fresh session for @p cell over
+ *  @p cache (null = private) and @p compile_cache, cancelled through
+ *  @p token (fresh if null) armed with @p timeout_ms (0 = none). */
+SweepRow runCellSession(const SweepCell &cell, const SweepCellFn &fn,
+                        std::shared_ptr<SharedEnergyCache> cache,
+                        double timeout_ms,
+                        std::shared_ptr<CancelToken> token = nullptr,
+                        std::shared_ptr<SharedCompileCache> compile_cache =
+                            nullptr);
+
+/** @p row as @p cell's checksummed store line (the payload forked
+ *  workers and vqad ship back). */
+std::string cellLine(const SweepCell &cell, const SweepRow &row);
+
+/**
+ * A cell executor outside this process: cellLine() blocks until
+ * @p cell has run and returns its checksummed store line; thread-safe.
+ * A throw (a remote exception as RemoteCellError) is a cell failure
+ * and retries or quarantines; CellSourceLost ends the sweep instead.
+ */
+class CellLineSource
+{
+  public:
+    virtual ~CellLineSource() = default;
+    virtual std::string cellLine(const SweepCell &cell) = 0;
+};
+
+/** The executor itself is gone (a daemon connection lost or corrupt
+ *  mid-request), not the cell: SweepRunner::run rethrows it without
+ *  retrying or writing a quarantine marker. */
+class CellSourceLost : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /**
  * The grid. See the file comment for the axis semantics; expansion
  * order is families (as listed) x sizes x couplings — Molecule cells
@@ -327,9 +360,9 @@ struct SweepSpec
     bool share_cache = true;
     size_t executor_threads = 0; ///< per-session submit() executor
 
-    /** Concurrent cells; 0 = a small hardware default, 1 = serial.
-     *  Never changes results (cells are independent and the shared
-     *  cache is pure). */
+    /** Concurrent cells (with a CellLineSource: requests in flight);
+     *  0 = a small hardware default, 1 = serial. Never changes results
+     *  (cells are independent and the shared cache is pure). */
     size_t cell_workers = 0;
 
     /**
@@ -472,10 +505,21 @@ class SweepRunner
      *  quarantine records instead. */
     SweepReport run(const SweepCellFn &fn, SweepSink *sink = nullptr);
 
+    /** Execute the sweep on @p source (e.g. serve::DaemonCellSource)
+     *  instead of a cell function. Requires FaultPolicy::isolate, no
+     *  process isolation and no cell_timeout_ms: the source decides
+     *  where cells run and enforces its own deadline. */
+    SweepReport run(CellLineSource &source, SweepSink *sink = nullptr);
+
     /** The sweep-level cache, or null when share_cache is off. */
     SharedEnergyCache *cache() { return cache_.get(); }
 
   private:
+    /** Both run()s: cells run on @p source, or in process through
+     *  @p fn; @p threads sizes the pool. The caller calls finish. */
+    SweepReport runCells(const SweepCellFn &fn, CellLineSource *source,
+                         size_t threads, SweepSink *sink);
+
     SweepSpec spec_;
     std::vector<SweepCell> cells_;
     std::shared_ptr<SharedEnergyCache> cache_;

@@ -49,17 +49,20 @@ namespace {
 // them before constructing its Daemon.
 std::atomic<int> g_evals{0};
 std::atomic<bool> g_release{true};
+std::atomic<bool> g_fail_once{false};
 
 void
 resetSynthState(bool released)
 {
     g_evals.store(0);
     g_release.store(released);
+    g_fail_once.store(false);
 }
 
 /** Tiny three-cell grid (qubits 4, 6, 8). The qubits==4 cell blocks
  *  on g_release, polling cancelCheckpoint() — the deterministic
- *  window for coalescing / quota / busy / cancel tests. */
+ *  window for coalescing / quota / busy / cancel tests. With
+ *  g_fail_once set, the qubits==6 cell throws once. */
 serve::Workload
 synthWorkload(const std::string &mode)
 {
@@ -83,6 +86,8 @@ synthWorkload(const std::string &mode)
                 cancelCheckpoint();
             }
         }
+        if (cell.point.qubits == 6 && g_fail_once.exchange(false))
+            throw std::runtime_error("synth: one-shot failure");
         SweepRow row;
         row.set("qubits", cell.point.qubits);
         row.set("value", static_cast<double>(cell.point.qubits) * 1.5);
@@ -805,8 +810,17 @@ TEST(Daemon, AClientThatNeverReadsCannotStallTheOthers)
 }
 
 // --------------------------------------------------------------------
-// runSweepViaDaemon: the drivers' --daemon engine
+// SweepRunner over serve::DaemonCellSource: the drivers' --daemon path
 // --------------------------------------------------------------------
+
+/** The synth workload's runner with the settings a daemon source
+ *  requires (FaultPolicy::isolate). */
+SweepRunner
+synthDaemonRunner(SweepSpec spec)
+{
+    spec.fault_policy = FaultPolicy::isolate;
+    return SweepRunner(std::move(spec));
+}
 
 TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
 {
@@ -819,16 +833,12 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     const std::string store = ::testing::TempDir() + "serve_sweep.bin";
     std::remove(store.c_str());
 
-    serve::DaemonRunOptions options;
-    options.workload = "synth";
-    options.mode = "default";
-
     {
-        serve::DaemonClient client =
-            serve::DaemonClient::connectUnix(config.socket_path);
+        serve::DaemonCellSource source(config.socket_path, "synth",
+                                       "default");
+        SweepRunner runner = synthDaemonRunner(wl.spec);
         store::BinarySweepSink sink(store, "synth");
-        const SweepReport report =
-            serve::runSweepViaDaemon(client, cells, options, &sink);
+        const SweepReport report = runner.run(source, &sink);
         EXPECT_EQ(report.cells, 3u);
         EXPECT_EQ(report.executed, 3u);
         EXPECT_EQ(report.skipped, 0u);
@@ -852,11 +862,11 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     // local comparator above also ran the fn, hence the delta check).
     const int evals_before_resume = g_evals.load();
     {
-        serve::DaemonClient client =
-            serve::DaemonClient::connectUnix(config.socket_path);
+        serve::DaemonCellSource source(config.socket_path, "synth",
+                                       "default");
+        SweepRunner runner = synthDaemonRunner(wl.spec);
         store::BinarySweepSink sink(store, "synth");
-        const SweepReport report =
-            serve::runSweepViaDaemon(client, cells, options, &sink);
+        const SweepReport report = runner.run(source, &sink);
         EXPECT_EQ(report.executed, 0u);
         EXPECT_EQ(report.skipped, 3u);
     }
@@ -865,13 +875,12 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     // Structured rejections surface as quarantine outcomes, not
     // exceptions: ask for a cell the workload does not have.
     {
-        serve::DaemonClient client =
-            serve::DaemonClient::connectUnix(config.socket_path);
+        serve::DaemonCellSource source(config.socket_path, "synth",
+                                       "default");
         SweepSpec other = synthWorkload("default").spec;
         other.sizes = {4, 6, 16}; // 16 is not in the served grid
-        const std::vector<SweepCell> foreign = other.cells();
-        const SweepReport report =
-            serve::runSweepViaDaemon(client, foreign, options, nullptr);
+        SweepRunner runner = synthDaemonRunner(other);
+        const SweepReport report = runner.run(source, nullptr);
         EXPECT_EQ(report.failed, 1u);
         ASSERT_EQ(report.outcomes.size(), 3u);
         EXPECT_FALSE(report.outcomes[2].ok);
@@ -879,5 +888,118 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
                   ErrorCategory::invalid_argument);
     }
 
+    std::remove(store.c_str());
+}
+
+TEST(DaemonSweep, ErrReplyRetriesLikeAThrownException)
+{
+    resetSynthState(true);
+    const serve::ServeConfig config = baseConfig("serve_retry.sock");
+    serve::Daemon daemon(config, synthCatalog());
+
+    g_fail_once.store(true);
+    SweepSpec spec = synthWorkload("default").spec;
+    serve::DaemonCellSource source(config.socket_path, "synth", "default");
+    // A source's failures retry and quarantine: fail_fast is refused.
+    SweepRunner fail_fast(spec);
+    EXPECT_THROW(fail_fast.run(source, nullptr), std::invalid_argument);
+
+    spec.cell_attempts = 2;
+    SweepRunner runner = synthDaemonRunner(spec);
+    const SweepReport report = runner.run(source, nullptr);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(report.outcomes[1].attempts, 2u);
+    EXPECT_EQ(g_evals.load(), 4);
+}
+
+TEST(DaemonSweep, RetryFailedReRequestsAQuarantinedCellAndHealsTheStore)
+{
+    resetSynthState(true);
+    const serve::ServeConfig config = baseConfig("serve_heal.sock");
+    serve::Daemon daemon(config, synthCatalog());
+    const serve::Workload wl = synthWorkload("default");
+    const std::vector<SweepCell> cells = wl.spec.cells();
+    const std::string store = ::testing::TempDir() + "serve_heal.bin";
+    std::remove(store.c_str());
+    serve::DaemonCellSource source(config.socket_path, "synth", "default");
+
+    // The one-shot failure comes back as an err reply and quarantines.
+    g_fail_once.store(true);
+    {
+        SweepRunner runner = synthDaemonRunner(wl.spec);
+        store::BinarySweepSink sink(store, "synth");
+        const SweepReport report = runner.run(source, &sink);
+        EXPECT_EQ(report.failed, 1u);
+        EXPECT_FALSE(report.outcomes[1].ok);
+        EXPECT_EQ(report.outcomes[1].category, ErrorCategory::runtime);
+        EXPECT_NE(report.outcomes[1].error.find("one-shot failure"),
+                  std::string::npos);
+    }
+    // A plain resume carries the marker without asking the daemon.
+    const int evals = g_evals.load();
+    {
+        SweepRunner runner = synthDaemonRunner(wl.spec);
+        store::BinarySweepSink sink(store, "synth");
+        EXPECT_TRUE(sink.quarantined(cells[1]));
+        const SweepReport report = runner.run(source, &sink);
+        EXPECT_EQ(report.executed, 0u);
+        EXPECT_EQ(report.failed, 1u);
+    }
+    EXPECT_EQ(g_evals.load(), evals);
+    // retry_failed re-requests exactly the quarantined cell.
+    {
+        SweepSpec spec = wl.spec;
+        spec.retry_failed = true;
+        SweepRunner runner = synthDaemonRunner(spec);
+        store::BinarySweepSink sink(store, "synth");
+        const SweepReport report = runner.run(source, &sink);
+        EXPECT_EQ(report.executed, 1u);
+        EXPECT_EQ(report.failed, 0u);
+    }
+    EXPECT_EQ(g_evals.load(), evals + 1);
+    {
+        store::BinarySweepSink sink(store, "synth");
+        EXPECT_FALSE(sink.quarantined(cells[1]));
+        EXPECT_EQ(sink.underlyingStore().lineFor(cells[1].keyString()),
+                  localReferenceLine(wl, cells[1]));
+    }
+    std::remove(store.c_str());
+}
+
+TEST(DaemonSweep, StoppedDaemonEndsTheRunWithoutQuarantining)
+{
+    resetSynthState(false); // the qubits==4 cell blocks until stopped
+    const serve::ServeConfig config = baseConfig("serve_stop.sock");
+    serve::Daemon daemon(config, synthCatalog());
+    const std::string store = ::testing::TempDir() + "serve_stop.bin";
+    std::remove(store.c_str());
+
+    SweepSpec spec = synthWorkload("default").spec;
+    spec.cell_workers = 2;
+    SweepRunner runner = synthDaemonRunner(spec);
+    serve::DaemonCellSource source(config.socket_path, "synth", "default");
+    std::exception_ptr error;
+    std::thread sweep([&] {
+        store::BinarySweepSink sink(store, "synth");
+        try {
+            runner.run(source, &sink);
+        } catch (...) {
+            error = std::current_exception();
+        }
+    });
+    // Cells 6 and 8 are done; cell 4 holds the serial-order prefix.
+    ASSERT_TRUE(eventually([&] {
+        const serve::DaemonStats s = daemon.stats();
+        return s.cells_completed == 2 && s.cells_active == 1;
+    }));
+    daemon.stop();
+    sweep.join();
+
+    ASSERT_TRUE(error);
+    EXPECT_THROW(std::rethrow_exception(error), CellSourceLost);
+    store::BinarySweepSink sink(store, "synth");
+    EXPECT_EQ(sink.loadedCells(), 0u);
+    EXPECT_EQ(sink.quarantinedCells(), 0u);
     std::remove(store.c_str());
 }

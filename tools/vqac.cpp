@@ -9,17 +9,18 @@
  *                 [--cells <store.bin>] [--isolate] [--inflight <n>]
  *
  * `run` builds the named workload locally (the same builder the daemon
- * uses) to enumerate its cells, then streams them through the daemon
- * with runSweepViaDaemon. With --cells the results land in a binary
- * sweep store — byte-identical to what a local driver run would
- * write — and an existing store resumes (completed cells are skipped
- * client-side, never re-requested). --inflight takes 1..65536;
- * anything else prints the usage and exits 2.
+ * uses) and runs its cells through SweepRunner on the daemon
+ * (serve::DaemonCellSource), --inflight (1..64, default 4) at a time.
+ * With --cells the results land in a binary sweep store, byte-identical
+ * to a local driver run's, and an existing store resumes (completed
+ * cells are skipped client-side). A bad --inflight prints the usage
+ * and exits 2.
  */
 
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/cli_number.hpp"
 #include "serve/client.hpp"
@@ -44,7 +45,7 @@ usage(const char *argv0)
 }
 
 int
-runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
+runCommand(const std::string &socket_path, int argc, char **argv)
 {
     using namespace eftvqa;
 
@@ -53,22 +54,21 @@ runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
         return 2;
     }
     const std::string workload = argv[3];
-    serve::DaemonRunOptions options;
-    options.workload = workload;
-    std::string cells_path;
+    std::string mode = "default", cells_path;
+    bool isolate = false;
+    size_t inflight = 4;
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--mode" && has_value) {
-            options.mode = argv[++i];
+            mode = argv[++i];
         } else if ((arg == "--cells" || arg == "--store") &&
                    has_value) {
             cells_path = argv[++i];
         } else if (arg == "--isolate") {
-            options.isolation = "process";
+            isolate = true;
         } else if (arg == "--inflight" && has_value) {
-            if (!parseNumber(argv[++i], options.max_inflight, 1,
-                             size_t{1} << 16))
+            if (!parseNumber(argv[++i], inflight, 1, 64))
                 return usage(argv[0]);
         } else {
             std::cerr << "vqac: unknown run argument '" << arg << "'\n";
@@ -78,17 +78,19 @@ runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
 
     // Build the workload locally — identical builder, identical cells,
     // identical content keys — to know what to ask the daemon for.
-    const serve::Workload wl =
-        serve::WorkloadCatalog::builtin().build(workload, options.mode);
-    const std::vector<SweepCell> cells = wl.spec.cells();
+    serve::Workload wl =
+        serve::WorkloadCatalog::builtin().build(workload, mode);
+    wl.spec.fault_policy = FaultPolicy::isolate;
+    wl.spec.cell_workers = inflight;
 
     std::unique_ptr<SweepSink> sink;
     if (!cells_path.empty())
         sink = std::make_unique<store::BinarySweepSink>(cells_path,
                                                         wl.spec.name);
 
+    serve::DaemonCellSource source(socket_path, workload, mode, isolate);
     const SweepReport report =
-        serve::runSweepViaDaemon(client, cells, options, sink.get());
+        SweepRunner(std::move(wl.spec)).run(source, sink.get());
     std::cout << "vqac: " << workload << ": " << report.cells
               << " cells, " << report.executed << " executed, "
               << report.skipped << " skipped, " << report.failed
@@ -141,7 +143,7 @@ main(int argc, char **argv)
             return 0;
         }
         if (command == "run")
-            return runCommand(client, argc, argv);
+            return runCommand(socket_path, argc, argv);
         return usage(argv[0]);
     } catch (const std::exception &e) {
         std::cerr << "vqac: " << e.what() << "\n";
