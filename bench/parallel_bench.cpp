@@ -198,6 +198,23 @@ warmThreadTeam()
 #endif
 }
 
+/** Run @p fn on a team of one thread: the serial reference of every
+ *  thread-count comparison, since the team size is the only thread
+ *  control. */
+template <class Fn>
+void
+onOneThread(Fn &&fn)
+{
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(1);
+    fn();
+    omp_set_num_threads(saved);
+#else
+    fn();
+#endif
+}
+
 Circuit
 boundCliffordFche(int n, uint64_t angle_seed)
 {
@@ -243,10 +260,11 @@ main(int argc, char **argv)
 
     std::vector<double> serial_vals, parallel_vals;
     auto farm_serial = [&] {
-        NoisyCliffordSimulator sim(farm_spec, 77);
-        sim.setParallel(false);
-        serial_vals = sim.termExpectations(farm_circuit, farm_ham,
-                                           farm_traj);
+        onOneThread([&] {
+            NoisyCliffordSimulator sim(farm_spec, 77);
+            serial_vals = sim.termExpectations(farm_circuit, farm_ham,
+                                               farm_traj);
+        });
     };
     auto farm_parallel = [&] {
         NoisyCliffordSimulator sim(farm_spec, 77);

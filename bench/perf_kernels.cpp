@@ -7,6 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "ansatz/ansatz.hpp"
 #include "common/rng.hpp"
 #include "ham/heisenberg.hpp"
@@ -216,20 +220,27 @@ BM_EstimationEngineEnergy(benchmark::State &state)
 }
 BENCHMARK(BM_EstimationEngineEnergy)->Arg(16);
 
-/** Trajectory farm, serial reference vs OpenMP (range(1) = parallel). */
+/** Trajectory farm on a team of 1 (range(1) = 0) or on the whole
+ *  OpenMP team (range(1) = 1). */
 static void
 BM_TrajectoryFarm(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    const bool parallel = state.range(1) != 0;
     const Circuit circuit = cliffordFche(n);
     const auto ham = isingHamiltonian(n, 1.0);
     const size_t trajectories = 32;
     NoisyCliffordSimulator sim(nisqCliffordSpec(NisqParams{}), 77);
-    sim.setParallel(parallel);
+#ifdef _OPENMP
+    const int team = omp_get_max_threads();
+    if (state.range(1) == 0)
+        omp_set_num_threads(1);
+#endif
     for (auto _ : state)
         benchmark::DoNotOptimize(
             sim.termExpectations(circuit, ham, trajectories));
+#ifdef _OPENMP
+    omp_set_num_threads(team);
+#endif
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * trajectories));
 }

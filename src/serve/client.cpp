@@ -1,10 +1,12 @@
 #include "serve/client.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -215,16 +217,30 @@ DaemonCellSource::cellLine(const SweepCell &cell)
         if (!client)
             client.emplace(DaemonClient::connectUnix(socket_path_));
         const long long id = static_cast<long long>(cell.point.index) + 1;
-        if (!client->sendRun(id, workload_, mode_, cell.keyString(),
-                             isolation_))
-            throw std::runtime_error("daemon hung up mid-send");
-        // Skip stray frames (another request's id, a pong) until ours.
-        do {
-            if (!client->readReply(reply))
-                throw std::runtime_error(
-                    "daemon connection closed with a request outstanding");
-        } while (reply.id != id ||
-                 (reply.type != "ok" && reply.type != "err"));
+        for (size_t attempt = 1;; ++attempt) {
+            if (!client->sendRun(id, workload_, mode_, cell.keyString(),
+                                 isolation_))
+                throw std::runtime_error("daemon hung up mid-send");
+            // Skip stray frames (another request's id, a pong) until
+            // ours.
+            do {
+                if (!client->readReply(reply))
+                    throw std::runtime_error("daemon connection closed "
+                                             "with a request outstanding");
+            } while (reply.id != id ||
+                     (reply.type != "ok" && reply.type != "err"));
+            // Admission rejections say nothing about the cell, which
+            // never ran: a full queue is asked again, a draining
+            // daemon ends the run like a stopped one.
+            if (reply.type == "err" && reply.code == "draining")
+                throw std::runtime_error(reply.error);
+            if (reply.type != "err" || reply.code != "busy")
+                break;
+            const double backoff_ms =
+                retryBackoffMs(cell.content_key, attempt, 1.0, 100.0);
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(backoff_ms));
+        }
     } catch (const std::exception &e) {
         throw CellSourceLost("vqad cell '" + cell.label + "': " + e.what());
     }

@@ -90,10 +90,13 @@ class DaemonClient
  * reply. Thread-safe: every runner thread takes its own connection
  * (one request in flight on each; SweepSpec::cell_workers sets how
  * many). An "err" reply throws RemoteCellError with the reply's
- * category — a cell failure the runner retries and quarantines; a
- * lost, refused or corrupt connection throws CellSourceLost, which
- * ends the run. @p process_isolation asks the daemon to run each cell
- * in a forked worker.
+ * category — a cell failure the runner retries and quarantines —
+ * except the admission rejections, which say nothing about the cell:
+ * "busy" (pending queue full) is re-requested on the same connection
+ * after a jittered backoff of 1..100 ms, and "draining" throws
+ * CellSourceLost. A lost, refused or corrupt connection throws
+ * CellSourceLost too, which ends the run. @p process_isolation asks
+ * the daemon to run each cell in a forked worker.
  */
 class DaemonCellSource final : public CellLineSource
 {

@@ -206,9 +206,7 @@ class DensityMatrixBackend final : public Backend
           // here. Noiseless runs take the stream of the empty spec.
           spec_(noise != nullptr && noise->hasDmNoise() ? noise->dm
                                                         : DmNoiseSpec{})
-    {
-        rho_.setParallel(noise == nullptr || noise->parallel);
-    }
+    {}
 
     BackendKind kind() const override { return BackendKind::DensityMatrix; }
     size_t nQubits() const override { return rho_.nQubits(); }
@@ -287,7 +285,6 @@ class TableauBackend final : public Backend
         if (noisy_ && trajectories_ == 0)
             throw std::invalid_argument(
                 "TableauBackend: need trajectories > 0");
-        sim_.setParallel(noise == nullptr || noise->parallel);
     }
 
     BackendKind kind() const override { return BackendKind::Tableau; }

@@ -709,7 +709,7 @@ bool
 DensityMatrix::forkable() const
 {
 #ifdef _OPENMP
-    return parallel_ && !omp_in_parallel();
+    return !omp_in_parallel();
 #else
     return false;
 #endif

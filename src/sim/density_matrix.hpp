@@ -189,12 +189,6 @@ class DensityMatrix
     void prepare(std::vector<DmOp> stream);
 
     /**
-     * Split stream ops across the OpenMP team (default on; always
-     * serial inside an enclosing parallel region). Never changes bits.
-     */
-    void setParallel(bool parallel) { parallel_ = parallel; }
-
-    /**
      * Run all gates of a bound circuit (no gate noise; Measure/Reset
      * execute as their channels): the noisy stream of an empty noise
      * spec.
@@ -270,7 +264,6 @@ class DensityMatrix
     using Slices = std::vector<uint64_t>;
 
     size_t n_;
-    bool parallel_ = true;
     // A prepared stream stays pending until it has run over every
     // slice; data_ holds its state on the slices of valid_.
     mutable simd::RealVector data_;
@@ -287,7 +280,8 @@ class DensityMatrix
     };
     mutable SlicePlan plan_;
 
-    /** Parallel flag for this call: off inside a parallel region. */
+    /** Split stream ops across the OpenMP team for this call: off
+     *  inside a parallel region. Never changes bits. */
     bool forkable() const;
 
     /** Make the pending stream's state valid on slice @p x (or on

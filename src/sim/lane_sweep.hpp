@@ -22,6 +22,7 @@
 
 #include "pauli/hamiltonian.hpp"
 #include "pauli/term_groups.hpp"
+#include "sim/simd.hpp"
 
 namespace eftvqa {
 namespace detail {
@@ -101,7 +102,7 @@ laneSweep(size_t dim, const uint64_t *z, LoadFn &&load, double *out_re,
 #ifdef _OPENMP
     double re[kLanes] = {};
     double im[kLanes] = {};
-#pragma omp parallel if (dim >= (size_t{1} << 14))
+#pragma omp parallel if (dim >= simd::kParallelGrainAmps)
     {
         double lre[kLanes] = {};
         double lim[kLanes] = {};

@@ -86,8 +86,8 @@ inline constexpr size_t kLanes = 1;
 inline constexpr const char *kCompiledIsa = "scalar";
 #endif
 
-/** Fork threshold in amplitudes, matching the simulators' historical
- *  OpenMP grain. */
+/** Fork threshold in amplitudes (loop iterations) below which every
+ *  OpenMP loop of the dense simulators stays serial. */
 inline constexpr size_t kParallelGrainAmps = size_t{1} << 14;
 
 /** Runtime sanity check: does this host implement the compiled ISA?

@@ -14,10 +14,6 @@ namespace eftvqa {
 
 namespace {
 
-/** Minimum per-loop iteration count before an OpenMP fork pays off —
- *  the same grain applyMatrix1q has always used. */
-constexpr size_t kParallelGrain = size_t{1} << 14;
-
 /** Widest register the dense amplitude array supports. */
 constexpr size_t kMaxStatevectorQubits = 26;
 
@@ -61,7 +57,7 @@ svApply1q(Cd *data, size_t span, size_t stride, const Mat2 &u,
         return;
     const size_t half = span / 2;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && half >= kParallelGrain)
+#pragma omp parallel for if (parallel && half >= simd::kParallelGrainAmps)
 #endif
     for (int64_t st = 0; st < static_cast<int64_t>(half); ++st) {
         const auto t = static_cast<size_t>(st);
@@ -86,7 +82,7 @@ svApply2q(Cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
     const uint64_t phigh = std::max(qa, qb);
     const size_t quarter = span / 4;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
+#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
 #endif
     for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
         const uint64_t i00 =
@@ -116,7 +112,7 @@ svApplyCXRange(Cd *data, size_t span, size_t control, size_t target,
     const uint64_t phigh = std::max(control, target);
     const size_t quarter = span / 4;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
+#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
 #endif
     for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
         const uint64_t i =
@@ -137,7 +133,7 @@ svApplySwapRange(Cd *data, size_t span, size_t a, size_t b,
     const uint64_t phigh = std::max(a, b);
     const size_t quarter = span / 4;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
+#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
 #endif
     for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
         const uint64_t i =
@@ -162,7 +158,7 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
                                   parallel))
                 return;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
+#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
 #endif
             for (int64_t si = 0; si < static_cast<int64_t>(span); ++si)
                 data[static_cast<size_t>(si)] *=
@@ -175,7 +171,7 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
                                 parallel))
             return;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
+#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
 #endif
         for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
             const uint64_t i = base + static_cast<uint64_t>(si);
@@ -188,7 +184,7 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
     }
     // Too many participating qubits to table: per-qubit factor product.
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
+#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
 #endif
     for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
         const uint64_t i = base + static_cast<uint64_t>(si);
@@ -210,7 +206,7 @@ svApplyXorMask(Cd *data, size_t span, uint64_t f, bool parallel)
     if (simd::tryXorMask(data, span, f, parallel))
         return;
 #ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
+#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
 #endif
     for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
         const auto i = static_cast<uint64_t>(si);
@@ -272,7 +268,7 @@ Statevector::applyCZ(size_t a, size_t b)
     const uint64_t phigh = std::max(a, b);
     const size_t quarter = data_.size() / 4;
 #ifdef _OPENMP
-#pragma omp parallel for if (quarter >= kParallelGrain)
+#pragma omp parallel for if (quarter >= simd::kParallelGrainAmps)
 #endif
     for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
         const uint64_t i =
@@ -333,7 +329,7 @@ Statevector::applyGf2Perm(const Gf2PermOp &p)
     const uint64_t *inv = p.inv_rows.data();
     const size_t nb = p.inv_rows.size();
 #ifdef _OPENMP
-#pragma omp parallel for if (dim >= kParallelGrain)
+#pragma omp parallel for if (dim >= simd::kParallelGrainAmps)
 #endif
     for (int64_t sy = 0; sy < static_cast<int64_t>(dim); ++sy) {
         const uint64_t z = static_cast<uint64_t>(sy) ^ f;

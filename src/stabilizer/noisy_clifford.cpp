@@ -340,11 +340,11 @@ struct FarmFlips
  * The trajectory farm behind energySamples and termExpectations: one
  * noiseless reference tableau for every term's ideal value, then one
  * Pauli frame per trajectory k on stream k. Trajectory k writes only
- * its own flip words, so the OpenMP farm is bit-identical to the
- * serial sweep for any thread count.
+ * its own flip words, so the farm is bit-identical for any OpenMP
+ * team size.
  */
 FarmFlips
-runFrameFarm(const CliffordNoiseSpec &spec, bool parallel, Rng &rng,
+runFrameFarm(const CliffordNoiseSpec &spec, Rng &rng,
              const Circuit &circuit, const Hamiltonian &ham,
              size_t trajectories, const char *who)
 {
@@ -396,7 +396,7 @@ runFrameFarm(const CliffordNoiseSpec &spec, bool parallel, Rng &rng,
     const CancelToken *cancel = activeCancelToken();
     const size_t words = (n + 63) / 64;
 #ifdef _OPENMP
-#pragma omp parallel if (parallel && trajectories > 1)
+#pragma omp parallel if (trajectories > 1)
 #endif
     {
         PauliFrame f{ops.data(), std::vector<uint64_t>(words),
@@ -464,7 +464,7 @@ NoisyCliffordSimulator::energySamples(const Circuit &circuit,
                                       const Hamiltonian &ham,
                                       size_t trajectories)
 {
-    const FarmFlips farm = runFrameFarm(spec_, parallel_, rng_, circuit, ham,
+    const FarmFlips farm = runFrameFarm(spec_, rng_, circuit, ham,
                                         trajectories, "energySamples");
     const std::vector<double> damping = dampingTable(ham);
     const auto &terms = ham.terms();
@@ -491,7 +491,7 @@ NoisyCliffordSimulator::termExpectations(const Circuit &circuit,
                                          const Hamiltonian &ham,
                                          size_t trajectories)
 {
-    const FarmFlips farm = runFrameFarm(spec_, parallel_, rng_, circuit, ham,
+    const FarmFlips farm = runFrameFarm(spec_, rng_, circuit, ham,
                                         trajectories, "termExpectations");
     const std::vector<double> damping = dampingTable(ham);
     // Per-term tallies are integer sums of {-1, 0, +1} samples, exact

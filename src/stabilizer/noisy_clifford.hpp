@@ -21,9 +21,9 @@
  * trajectory up front (Rng::forkStreams), so trajectory k consumes
  * stream k on whatever thread runs it, in the same order a full
  * tableau trajectory (runTrajectory) does. Per-term tallies are integer
- * sums, exactly order-independent. The OpenMP path is therefore
- * bit-identical to the serial reference for any thread count;
- * setParallel(false) selects the serial sweep of the same streams.
+ * sums, exactly order-independent. The farm therefore returns the same
+ * bits for any OpenMP team size; a team of 1 is the serial sweep of
+ * the same streams.
  */
 
 #ifndef EFTVQA_STABILIZER_NOISY_CLIFFORD_HPP
@@ -109,18 +109,9 @@ class NoisyCliffordSimulator
 
     const CliffordNoiseSpec &spec() const { return spec_; }
 
-    /**
-     * Toggle the OpenMP trajectory farm (default on). The serial path
-     * sweeps the same per-trajectory streams in index order and is the
-     * bit-identical reference the parallel path is tested against.
-     */
-    void setParallel(bool parallel) { parallel_ = parallel; }
-    bool parallel() const { return parallel_; }
-
   private:
     CliffordNoiseSpec spec_;
     Rng rng_;
-    bool parallel_ = true;
 
     /** Per-term (1-2p)^weight readout damping, hoisted out of the
      *  trajectory loop. */

@@ -126,14 +126,13 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
     // (compileNoisyStream) — a CompiledCircuit for those engines would
     // just fill the memo with streams nothing executes.
     use_compiled_pipeline_ =
-        config_.compile_cache_capacity > 0 &&
         config_.backend != sim::BackendKind::Tableau &&
         config_.backend != sim::BackendKind::DensityMatrix &&
         ham_.nQubits() <= 64 &&
         !(config_.noise && config_.noise->hasDmNoise());
     if (use_compiled_pipeline_)
-        compile_cache_ = std::make_shared<SharedCompileCache>(
-            config_.compile_cache_capacity);
+        compile_cache_ =
+            std::make_shared<SharedCompileCache>(kCompileMemoCapacity);
 }
 
 const std::vector<std::vector<size_t>> &
@@ -230,8 +229,7 @@ EstimationEngine::attachSharedCompileCache(
     if (!use_compiled_pipeline_)
         return;
     if (!cache)
-        cache = std::make_shared<SharedCompileCache>(
-            config_.compile_cache_capacity);
+        cache = std::make_shared<SharedCompileCache>(kCompileMemoCapacity);
     std::lock_guard<std::mutex> lock(compile_mutex_);
     compile_cache_ = std::move(cache);
 }
@@ -281,9 +279,6 @@ EstimationEngine::groupShotAllocation()
     const auto &groups = measurementGroups();
     if (config_.shots == 0) {
         group_shots_.clear();
-    } else if (!config_.weighted_shots) {
-        group_shots_.assign(groups.size(),
-                            static_cast<size_t>(config_.shots));
     } else {
         const auto &terms = ham_.terms();
         std::vector<double> weights(groups.size(), 0.0);
@@ -438,7 +433,7 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
         // batch is better served by each item's own inner parallelism
         // (trajectory farm / amplitude sweeps) using all cores.
         const bool fan_out =
-            config_.parallel && omp_get_max_threads() > 1 &&
+            omp_get_max_threads() > 1 &&
             work.size() >= static_cast<size_t>(omp_get_max_threads()) &&
             work.size() > 1;
 #pragma omp parallel for schedule(dynamic) if (fan_out)
@@ -576,8 +571,7 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
     // Fan out only at the top level: inside energies()'s circuit-level
     // fan-out a nested region would serialize anyway, and each circuit
     // already owns a whole work item.
-    const bool fan_out = config_.parallel && config_.async_groups &&
-                         groups.size() > 1 && omp_get_max_threads() > 1 &&
+    const bool fan_out = groups.size() > 1 && omp_get_max_threads() > 1 &&
                          !omp_in_parallel();
 #else
     const bool fan_out = false;

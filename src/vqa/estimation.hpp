@@ -33,11 +33,18 @@
  *    regardless of batch order or thread count — the batch is
  *    bit-identical to evaluating each circuit on a fresh clone
  *    serially;
- *  - async QWC-group scheduling on the shot path (config.async_groups):
- *    each measurement group is an independent work item with its own
- *    hash-seeded shot stream and (on Monte-Carlo substrates) its own
- *    clone of a per-evaluation parent, so the groups fan out across
- *    OpenMP threads bit-identically to the serial group sweep.
+ *  - async QWC-group scheduling on the shot path: each measurement
+ *    group is an independent work item with its own hash-seeded shot
+ *    stream and (on Monte-Carlo substrates) its own clone of a
+ *    per-evaluation parent, so the groups fan out across OpenMP
+ *    threads bit-identically to the serial group sweep.
+ *
+ * The OpenMP team size is the only thread control: a batch or group
+ * loop forks when the team has more than one thread and its work-size
+ * test passes, and every result is bit-identical across team sizes.
+ * The shot path always splits its budget VarSaw-style
+ * (allocateShotBudget over the groups' weight sums), and statevector
+ * engines memoize up to kCompileMemoCapacity compiled circuits.
  */
 
 #ifndef EFTVQA_VQA_ESTIMATION_HPP
@@ -105,6 +112,11 @@ using SharedEnergyCache = ContentLru<std::vector<double>>;
  */
 using SharedCompileCache = ContentLru<std::shared_ptr<const CompiledCircuit>>;
 
+/** Entries of an engine's private compile memo. Compilation is
+ *  deterministic, so the memo never changes results; GA
+ *  re-evaluations and shot loops skip recompilation entirely. */
+inline constexpr size_t kCompileMemoCapacity = 256;
+
 /** How an EstimationEngine turns circuits into energies. */
 struct EstimationConfig
 {
@@ -117,6 +129,9 @@ struct EstimationConfig
     /**
      * Measurement shots per QWC group; 0 = exact expectations from the
      * simulated state (the paper's default for all regime studies).
+     * The total budget (shots * #measurement-groups) is split across
+     * the groups proportionally to each group's weight sum |c_k|
+     * (VarSaw-style variance reduction at fixed budget).
      * Signed so that a negative value is a loud construction-time error
      * (validate()) instead of a silent multi-exabyte sample request.
      */
@@ -133,52 +148,6 @@ struct EstimationConfig
      * the same circuit.
      */
     size_t cache_capacity = 0;
-
-    /**
-     * Capacity (entries) of the engine's private memo of compiled
-     * circuits (sim/compiled_circuit.hpp), keyed by
-     * Circuit::contentHash(). Compilation is deterministic, so —
-     * unlike the energy cache — this memo never changes results and
-     * is on by default; GA re-evaluations and shot loops skip
-     * recompilation entirely. 0 disables it (every prepare recompiles
-     * inside the backend). Only consulted for engines that can reach
-     * the statevector (Statevector, Auto) on registers the compiler
-     * supports (<= 64 qubits).
-     */
-    size_t compile_cache_capacity = 256;
-
-    /**
-     * Shot path: distribute the total shot budget
-     * (shots * #measurement-groups) across QWC groups proportionally
-     * to each group's weight sum |c_k| (VarSaw-style variance
-     * reduction at fixed budget) instead of uniformly. Default on;
-     * set false for the historical uniform shots-per-group split.
-     */
-    bool weighted_shots = true;
-
-    /**
-     * Fan energies() out across threads when the batch has enough
-     * distinct circuits to fill them (default). Each circuit's
-     * evaluation is independent (own backend clone, own shot stream),
-     * so the toggle never changes which state each circuit is
-     * evaluated on; on the tableau-trajectory regime — whose farm
-     * reduction is exactly order-independent — results are
-     * bit-identical either way. (Dense backends large enough to use
-     * amplitude-level parallelism keep its usual non-deterministic
-     * float merge order.)
-     */
-    bool parallel = true;
-
-    /**
-     * Shot path: schedule the per-QWC-group measurement sampling across
-     * OpenMP threads, one Backend::clone() per group where cloning is
-     * needed (default). Group results are order-independent by
-     * construction — each group draws from its own hash-seeded shot
-     * stream, and Monte-Carlo backends clone a per-evaluation parent —
-     * so the toggle never changes results; false pins the serial group
-     * sweep of the same streams.
-     */
-    bool async_groups = true;
 
     /**
      * Throw std::invalid_argument naming the offending field for values
@@ -273,7 +242,7 @@ class EstimationEngine
      * composite key (circuit content hash x kernel ISA tag — globally
      * unique, so no scope key is needed). Whether the compiled pipeline
      * applies at all is still decided per engine (substrate, register
-     * width, compile_cache_capacity); engines off it ignore the call.
+     * width); engines off it ignore the call.
      * Null goes back to a fresh private memo.
      */
     void
@@ -350,7 +319,7 @@ class EstimationEngine
     std::atomic<size_t> compile_hits_{0};
     std::atomic<size_t> compile_misses_{0};
 
-    // Per-group shot counts (weighted or uniform), computed once.
+    // Per-group shot counts (VarSaw-weighted), computed once.
     std::vector<size_t> group_shots_;
     bool group_shots_computed_ = false;
 
@@ -372,7 +341,7 @@ class EstimationEngine
     /**
      * Memoized compilation of a bound circuit (thread-safe). Returns
      * null when the compiled pipeline is off for this engine (tableau
-     * substrate, > 64 qubits, or capacity 0).
+     * or density-matrix substrate, or > 64 qubits).
      */
     std::shared_ptr<const CompiledCircuit>
     compiledFor(const Circuit &bound_circuit);

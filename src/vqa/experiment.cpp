@@ -129,10 +129,6 @@ RegimeSpec::key() const
         mix(trajectories > 0 ? static_cast<uint64_t>(trajectories)
                              : nm.trajectories);
         mix(nm.seed);
-        // nm.parallel is deliberately NOT hashed: the trajectory farm
-        // is bit-identical to its serial reference, so the toggle can
-        // never change results and must not split engines or cache
-        // scopes.
     }
     return h;
 }
@@ -291,9 +287,6 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
     // the engine's private cache otherwise; either way the knobs below
     // come from the spec, not the regime.
     config.cache_capacity = spec_.share_cache ? 0 : spec_.cache_capacity;
-    config.weighted_shots = spec_.weighted_shots;
-    config.parallel = spec_.parallel;
-    config.async_groups = spec_.async_groups;
 
     auto slot = std::make_unique<EngineSlot>();
     slot->engine =

@@ -175,16 +175,6 @@ struct ExperimentSpec
      */
     size_t cache_capacity = 4096;
 
-    /** Weighted (VarSaw-style) shot allocation across QWC groups. */
-    bool weighted_shots = true;
-
-    /** OpenMP fan-out inside evaluations (never changes results). */
-    bool parallel = true;
-
-    /** Schedule QWC-group sampling across clones (never changes
-     *  results); false pins the serial group sweep. */
-    bool async_groups = true;
-
     /**
      * Hoist the energy LRU out of the engines into one session cache
      * keyed by (Hamiltonian hash, regime key, circuit hash), so hits

@@ -390,7 +390,7 @@ hashString(uint64_t h, const std::string &s)
 /** The cell's resume identity: every knob that can change its rows. */
 uint64_t
 cellContentKey(const SweepPoint &point, const ExperimentSpec &experiment,
-               bool weighted_shots, uint64_t key_salt)
+               uint64_t key_salt)
 {
     uint64_t h = detail::hashCombine(0xCBF29CE484222325ull, key_salt);
     auto mix = [&h](uint64_t v) { h = detail::hashCombine(h, v); };
@@ -420,7 +420,9 @@ cellContentKey(const SweepPoint &point, const ExperimentSpec &experiment,
     mixd(experiment.genetic.crossover_rate);
     mix(experiment.genetic.elite);
     mix(experiment.genetic.seed);
-    mix(weighted_shots ? 1 : 0);
+    // Once a weighted-shots switch; every shot split is weighted now,
+    // and the constant keeps existing store keys valid.
+    mix(1);
     return h;
 }
 
@@ -500,9 +502,6 @@ SweepSpec::cells() const
         experiment.regimes = regimes;
         experiment.genetic = genetic;
         experiment.cache_capacity = cache_capacity;
-        experiment.weighted_shots = weighted_shots;
-        experiment.parallel = parallel;
-        experiment.async_groups = async_groups;
         experiment.share_cache = share_cache;
         experiment.executor_threads = executor_threads;
 
@@ -516,9 +515,7 @@ SweepSpec::cells() const
                                         "': " + e.what());
         }
 
-        cell.content_key =
-            cellContentKey(cell.point, experiment,
-                           experiment.weighted_shots, key_salt);
+        cell.content_key = cellContentKey(cell.point, experiment, key_salt);
         cells.push_back(std::move(cell));
     }
     return cells;

@@ -351,9 +351,6 @@ struct SweepSpec
 
     // Session knobs forwarded into every cell's ExperimentSpec.
     size_t cache_capacity = 4096;
-    bool weighted_shots = true;
-    bool parallel = true;
-    bool async_groups = true;
     /** One SharedEnergyCache across every cell of the sweep (default):
      *  identical (Hamiltonian, regime, circuit) work is paid once per
      *  sweep. false: each cell caches privately per its spec. */

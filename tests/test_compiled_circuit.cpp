@@ -445,32 +445,6 @@ TEST(CompiledCircuit, EngineMemoizesCompiledCircuits)
     engine.energy(c);
     EXPECT_EQ(engine.compileCacheMisses(), 1u);
     EXPECT_EQ(engine.compileCacheHits(), 2u);
-
-    // Capacity 0 turns the memo off entirely.
-    config.compile_cache_capacity = 0;
-    EstimationEngine uncached(ham, config);
-    uncached.energy(c);
-    uncached.energy(c);
-    EXPECT_EQ(uncached.compileCacheMisses(), 0u);
-    EXPECT_EQ(uncached.compileCacheHits(), 0u);
-}
-
-TEST(CompiledCircuit, EngineCompileMemoEvictsLeastRecent)
-{
-    // Capacity 1: compiling B evicts A, so A, B, A is three misses.
-    const auto ham = isingHamiltonian(4, 1.0);
-    const Circuit a = randomUnitaryCircuit(4, 20, 3);
-    const Circuit b = randomUnitaryCircuit(4, 20, 4);
-
-    EstimationConfig config;
-    config.backend = sim::BackendKind::Statevector;
-    config.compile_cache_capacity = 1;
-    EstimationEngine engine(ham, config);
-    engine.energy(a);
-    engine.energy(b);
-    engine.energy(a);
-    EXPECT_EQ(engine.compileCacheMisses(), 3u);
-    EXPECT_EQ(engine.compileCacheHits(), 0u);
 }
 
 TEST(CompiledCircuit, GeneralPermutationOnDensityMatrixIsInPlaceExact)
@@ -589,13 +563,6 @@ TEST(ShotAllocation, EngineAllocatesByGroupWeight)
     ASSERT_EQ(alloc.size(), 2u);
     EXPECT_EQ(alloc[0] + alloc[1], 200u);
     EXPECT_EQ(std::max(alloc[0], alloc[1]), 150u);
-
-    EstimationConfig uniform = weighted;
-    uniform.weighted_shots = false;
-    EstimationEngine uniform_engine(ham, uniform);
-    EXPECT_NEAR(uniform_engine.energy(bell), 4.0, 1e-12);
-    EXPECT_EQ(uniform_engine.groupShotAllocation(),
-              (std::vector<size_t>{100, 100}));
 }
 
 TEST(ShotAllocation, WeightedEstimateStaysAccurate)
@@ -613,8 +580,4 @@ TEST(ShotAllocation, WeightedEstimateStaysAccurate)
     shot_config.seed = 5;
     EstimationEngine weighted(ham, shot_config);
     EXPECT_NEAR(weighted.energy(c), reference, 0.15);
-
-    shot_config.weighted_shots = false;
-    EstimationEngine uniform(ham, shot_config);
-    EXPECT_NEAR(uniform.energy(c), reference, 0.15);
 }

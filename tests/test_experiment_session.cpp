@@ -13,15 +13,13 @@
 #include <cmath>
 #include <future>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
 #include "vqa/experiment.hpp"
+
+#include "thread_guard.hpp"
 
 using namespace eftvqa;
 
@@ -61,19 +59,6 @@ smallSpec(int n, std::vector<RegimeSpec> regimes)
     spec.regimes = std::move(regimes);
     return spec;
 }
-
-#ifdef _OPENMP
-/** Restore the OpenMP thread count when a test scope exits. */
-struct ThreadGuard
-{
-    int saved;
-    explicit ThreadGuard(int n) : saved(omp_get_max_threads())
-    {
-        omp_set_num_threads(n);
-    }
-    ~ThreadGuard() { omp_set_num_threads(saved); }
-};
-#endif
 
 } // namespace
 
@@ -368,18 +353,9 @@ TEST(ExperimentSession, SubmitMatchesSerialEnginePathAtAnyThreadCount)
                 reference.push_back(engine.energy(c));
         }
 
-        const std::vector<int> thread_counts
-#ifdef _OPENMP
-            {1, 2, 4};
-#else
-            {1};
-#endif
+        const std::vector<int> thread_counts{1, 2, 4};
         for (int threads : thread_counts) {
-#ifdef _OPENMP
             ThreadGuard guard(threads);
-#else
-            (void)threads;
-#endif
             // Fresh session per thread count: same submission sequence
             // must reproduce the serial reference bit for bit.
             ExperimentSpec spec;
@@ -438,13 +414,10 @@ TEST(ExperimentSession, BatchShotPathIsThreadCountInvariant)
 
     std::vector<double> reference;
     {
-#ifdef _OPENMP
         ThreadGuard guard(1);
-#endif
         EstimationEngine engine(ham, regime.estimationConfig());
         reference = engine.energies(population);
     }
-#ifdef _OPENMP
     for (int threads : {2, 4}) {
         ThreadGuard guard(threads);
         EstimationEngine engine(ham, regime.estimationConfig());
@@ -453,47 +426,38 @@ TEST(ExperimentSession, BatchShotPathIsThreadCountInvariant)
             EXPECT_EQ(parallel[i], reference[i])
                 << "circuit " << i << " at " << threads << " threads";
     }
-#endif
 }
 
 TEST(ExperimentSession, AsyncGroupSchedulingIsBitIdentical)
 {
-    // The shot path's QWC-group fan-out must never change results:
-    // async_groups on vs off, same engine config, same energies.
+    // The shot path's QWC-group fan-out must never change results: a
+    // team of 1 sweeps the groups serially, a team of manyThreads()
+    // forks them, and every round's energy keeps its bits.
     const int n = 6;
     const auto ham = heisenbergHamiltonian(n, 1.0);
     const Circuit bound = cliffordAnsatz(n, 9);
 
-#ifdef _OPENMP
-    ThreadGuard guard(4);
-#endif
-    EstimationConfig serial_cfg;
-    serial_cfg.backend = sim::BackendKind::Statevector;
-    serial_cfg.shots = 128;
-    serial_cfg.seed = 777;
-    serial_cfg.async_groups = false;
-    EstimationConfig async_cfg = serial_cfg;
-    async_cfg.async_groups = true;
-
-    EstimationEngine serial_engine(ham, serial_cfg);
-    EstimationEngine async_engine(ham, async_cfg);
-    for (int round = 0; round < 3; ++round)
-        EXPECT_EQ(async_engine.energy(bound), serial_engine.energy(bound))
-            << "round " << round;
-
+    EstimationConfig statevector;
+    statevector.backend = sim::BackendKind::Statevector;
+    statevector.shots = 128;
+    statevector.seed = 777;
     // Same contract on the Monte-Carlo substrate (clone-per-group).
-    EstimationConfig mc_serial =
+    EstimationConfig monte_carlo =
         EstimationConfig::tableau(testSpec(), 4, 31);
-    mc_serial.shots = 12;
-    mc_serial.async_groups = false;
-    EstimationConfig mc_async = mc_serial;
-    mc_async.async_groups = true;
-    EstimationEngine mc_serial_engine(ham, mc_serial);
-    EstimationEngine mc_async_engine(ham, mc_async);
-    for (int round = 0; round < 2; ++round)
-        EXPECT_EQ(mc_async_engine.energy(bound),
-                  mc_serial_engine.energy(bound))
-            << "mc round " << round;
+    monte_carlo.shots = 12;
+
+    for (const EstimationConfig &config : {statevector, monte_carlo}) {
+        auto rounds = [&](int threads) {
+            ThreadGuard guard(threads);
+            EstimationEngine engine(ham, config);
+            std::vector<double> energies;
+            for (int round = 0; round < 3; ++round)
+                energies.push_back(engine.energy(bound));
+            return energies;
+        };
+        EXPECT_EQ(rounds(1), rounds(manyThreads()))
+            << sim::backendKindName(config.backend);
+    }
 }
 
 // --------------------------------------------------------------------

@@ -19,6 +19,8 @@
 #include "stabilizer/noisy_clifford.hpp"
 #include "vqa/fault.hpp"
 
+#include "thread_guard.hpp"
+
 using namespace eftvqa;
 
 namespace {
@@ -157,8 +159,8 @@ struct FarmOracle
 TEST(NoisyClifford, FrameFarmMatchesRecordedBits)
 {
     // Digests recorded from the per-trajectory tableau farm that the
-    // Pauli-frame farm replaced: its outputs must stay byte-identical,
-    // serial and parallel, at every thread count and SIMD tier.
+    // Pauli-frame farm replaced: its outputs must stay byte-identical
+    // on a team of 1 and of 4 threads, at every SIMD tier.
     const FarmOracle cases[] = {
         {5, false, 64, "0x18d9ce61250b38d7", "0x7f8b7fd5c7fa736f"},
         {5, true, 64, "0xd7b2fb79182362a9", "0x7d9a0b4a5c99c22c"},
@@ -174,9 +176,9 @@ TEST(NoisyClifford, FrameFarmMatchesRecordedBits)
         const CliffordNoiseSpec spec = oracleSpec(oc.pqec);
         ASSERT_GT(spec.meas_flip, 0.0);
         ASSERT_GT(spec.idle.px + spec.idle.py + spec.idle.pz, 0.0);
-        for (const bool parallel : {false, true}) {
+        for (const int threads : {1, 4}) {
+            ThreadGuard guard(threads);
             NoisyCliffordSimulator a(spec, 2024);
-            a.setParallel(parallel);
             const auto samples = a.energySamples(c, h, oc.trajectories);
             EXPECT_EQ(bitsDigest(samples), oc.samples_bits);
             // The noise must actually flip terms for the pin to bite.
@@ -184,7 +186,6 @@ TEST(NoisyClifford, FrameFarmMatchesRecordedBits)
                           .size(),
                       2u);
             NoisyCliffordSimulator b(spec, 2024);
-            b.setParallel(parallel);
             EXPECT_EQ(
                 bitsDigest(b.termExpectations(c, h, oc.trajectories)),
                 oc.terms_bits);

@@ -1,26 +1,21 @@
 /**
  * @file
- * Determinism contract of the parallel execution layer: the OpenMP
- * trajectory farm, the bucket-sharded expectationBatch and the
- * clone-parallel EstimationEngine::energies batch must all be
- * bit-identical to their serial references at any thread count, and the
- * LRU energy cache must collapse duplicate genomes into lookups.
+ * Determinism contract of the parallel execution layer: the trajectory
+ * farm, the bucket-sharded expectationBatch, the clone-parallel
+ * EstimationEngine::energies batch and the noisy density-matrix stream
+ * must give the same bits on a team of 1 as on a team of manyThreads(),
+ * and the LRU energy cache must collapse duplicate genomes into lookups.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
-#include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
@@ -28,6 +23,8 @@
 #include "vqa/clifford_vqe.hpp"
 #include "vqa/estimation.hpp"
 #include "vqa/optimizer.hpp"
+
+#include "thread_guard.hpp"
 
 using namespace eftvqa;
 
@@ -67,59 +64,42 @@ struct ShardModeGuard
 
 } // namespace
 
-TEST(ParallelDeterminism, EnergySamplesMatchSerialReference)
-{
-    const Circuit circuit = cliffordAnsatz(12, 7);
-    const auto ham = isingHamiltonian(12, 1.0);
-
-    NoisyCliffordSimulator parallel_sim(testSpec(), 99);
-    NoisyCliffordSimulator serial_sim(testSpec(), 99);
-    serial_sim.setParallel(false);
-
-    const auto par = parallel_sim.energySamples(circuit, ham, 64);
-    const auto ser = serial_sim.energySamples(circuit, ham, 64);
-    ASSERT_EQ(par.size(), ser.size());
-    for (size_t k = 0; k < par.size(); ++k)
-        EXPECT_EQ(par[k], ser[k]) << "trajectory " << k;
-}
-
-TEST(ParallelDeterminism, TermExpectationsMatchSerialReference)
-{
-    const Circuit circuit = cliffordAnsatz(14, 3);
-    const auto ham = heisenbergHamiltonian(14, 1.0);
-
-    NoisyCliffordSimulator parallel_sim(testSpec(), 1234);
-    NoisyCliffordSimulator serial_sim(testSpec(), 1234);
-    serial_sim.setParallel(false);
-
-    const auto par = parallel_sim.termExpectations(circuit, ham, 48);
-    const auto ser = serial_sim.termExpectations(circuit, ham, 48);
-    ASSERT_EQ(par.size(), ser.size());
-    for (size_t j = 0; j < par.size(); ++j)
-        EXPECT_EQ(par[j], ser[j]) << "term " << j;
-}
-
-#ifdef _OPENMP
 TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
 {
-    const Circuit circuit = cliffordAnsatz(12, 11);
-    const auto ham = isingHamiltonian(12, 0.5);
-    const int max_threads = omp_get_max_threads();
-
-    omp_set_num_threads(1);
-    NoisyCliffordSimulator sim_one(testSpec(), 42);
-    const auto one = sim_one.termExpectations(circuit, ham, 40);
-
-    omp_set_num_threads(std::max(4, max_threads));
-    NoisyCliffordSimulator sim_many(testSpec(), 42);
-    const auto many = sim_many.termExpectations(circuit, ham, 40);
-
-    omp_set_num_threads(max_threads);
-    ASSERT_EQ(one.size(), many.size());
-    for (size_t j = 0; j < one.size(); ++j)
-        EXPECT_EQ(one[j], many[j]) << "term " << j;
+    // One RNG stream per trajectory and integer per-term tallies: the
+    // energy samples and the term expectations keep every bit between
+    // a team of 1 and a team of manyThreads().
+    struct Case
+    {
+        int n;
+        uint64_t angle_seed;
+        Hamiltonian ham;
+        uint64_t seed;
+        size_t trajectories;
+        bool samples; ///< energySamples, else termExpectations
+    };
+    const Case cases[] = {
+        {12, 7, isingHamiltonian(12, 1.0), 99, 64, true},
+        {14, 3, heisenbergHamiltonian(14, 1.0), 1234, 48, false},
+        {12, 11, isingHamiltonian(12, 0.5), 42, 40, false},
+    };
+    for (const Case &c : cases) {
+        const Circuit circuit = cliffordAnsatz(c.n, c.angle_seed);
+        auto run = [&](int threads) {
+            ThreadGuard guard(threads);
+            NoisyCliffordSimulator sim(testSpec(), c.seed);
+            return c.samples
+                       ? sim.energySamples(circuit, c.ham, c.trajectories)
+                       : sim.termExpectations(circuit, c.ham,
+                                              c.trajectories);
+        };
+        const auto one = run(1);
+        const auto many = run(manyThreads());
+        ASSERT_EQ(one.size(), many.size());
+        for (size_t j = 0; j < one.size(); ++j)
+            EXPECT_EQ(one[j], many[j]) << "seed " << c.seed << ", value " << j;
+    }
 }
-#endif
 
 TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 {
@@ -146,29 +126,6 @@ TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
         EXPECT_EQ(unsharded[k], sharded[k]) << "term " << k;
 }
 
-TEST(ParallelDeterminism, ShardedDensityMatrixBatchMatchesSerial)
-{
-    const int n = 7;
-    DensityMatrix rho(n);
-    const auto ansatz = fcheAnsatz(n, 1);
-    rho.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.4)));
-    const auto ham = heisenbergHamiltonian(n, 0.75);
-
-    std::vector<double> unsharded, sharded;
-    {
-        ShardModeGuard guard(0);
-        unsharded = rho.expectationBatch(ham);
-    }
-    {
-        ShardModeGuard guard(1);
-        sharded = rho.expectationBatch(ham);
-    }
-    ASSERT_EQ(unsharded.size(), sharded.size());
-    for (size_t k = 0; k < unsharded.size(); ++k)
-        EXPECT_EQ(unsharded[k], sharded[k]) << "term " << k;
-}
-
-#ifdef _OPENMP
 TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
 {
     const int n = 14;
@@ -176,20 +133,19 @@ TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
     const auto ansatz = fcheAnsatz(n, 1);
     psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.7)));
     const auto ham = heisenbergHamiltonian(n, 1.0);
-    const int max_threads = omp_get_max_threads();
 
     ShardModeGuard guard(1);
-    omp_set_num_threads(1);
-    const auto one = psi.expectationBatch(ham);
-    omp_set_num_threads(std::max(4, max_threads));
-    const auto many = psi.expectationBatch(ham);
-    omp_set_num_threads(max_threads);
+    auto batch = [&](int threads) {
+        ThreadGuard team(threads);
+        return psi.expectationBatch(ham);
+    };
+    const auto one = batch(1);
+    const auto many = batch(manyThreads());
 
     ASSERT_EQ(one.size(), many.size());
     for (size_t k = 0; k < one.size(); ++k)
         EXPECT_EQ(one[k], many[k]) << "term " << k;
 }
-#endif
 
 TEST(ParallelDeterminism, EnergiesBatchMatchesSerialReference)
 {
@@ -199,15 +155,15 @@ TEST(ParallelDeterminism, EnergiesBatchMatchesSerialReference)
     for (uint64_t s = 0; s < 8; ++s)
         population.push_back(cliffordAnsatz(n, s));
 
-    EstimationConfig par_config =
+    const EstimationConfig config =
         EstimationConfig::tableau(testSpec(), 32, 777);
-    EstimationConfig ser_config = par_config;
-    ser_config.parallel = false;
-
-    EstimationEngine par_engine(ham, par_config);
-    EstimationEngine ser_engine(ham, ser_config);
-    const auto par = par_engine.energies(population);
-    const auto ser = ser_engine.energies(population);
+    auto batch = [&](int threads) {
+        ThreadGuard guard(threads);
+        EstimationEngine engine(ham, config);
+        return engine.energies(population);
+    };
+    const auto ser = batch(1);
+    const auto par = batch(manyThreads());
     ASSERT_EQ(par.size(), population.size());
     for (size_t i = 0; i < par.size(); ++i)
         EXPECT_EQ(par[i], ser[i]) << "circuit " << i;
@@ -471,30 +427,17 @@ TEST(ParallelDeterminism, NoisyDensityMatrixEnergyThreadAndIsaInvariant)
     const DmNoiseSpec specs[] = {nisqDmSpec(NisqParams{}),
                                  pqecDmSpec(PqecParams{})};
 
-#ifdef _OPENMP
-    const int max_threads = omp_get_max_threads();
-    const int thread_counts[] = {1, 4};
-#else
-    const int thread_counts[] = {1};
-#endif
     for (const Hamiltonian &ham : hams)
         for (const DmNoiseSpec &spec : specs) {
             std::vector<double> energies;
             for (const int simd_mode : {0, -1})
-                for (const int threads : thread_counts) {
-#ifdef _OPENMP
-                    omp_set_num_threads(threads);
-#else
-                    (void)threads;
-#endif
+                for (const int threads : {1, 4}) {
+                    ThreadGuard guard(threads);
                     simd::setSimdMode(simd_mode);
                     energies.push_back(
                         noisyDensityMatrixEnergy(circuit, ham, spec));
                 }
             simd::setSimdMode(-1);
-#ifdef _OPENMP
-            omp_set_num_threads(max_threads);
-#endif
             for (size_t k = 1; k < energies.size(); ++k)
                 EXPECT_EQ(energies[k], energies[0]) << "run " << k;
         }

@@ -913,6 +913,82 @@ TEST(DaemonSweep, ErrReplyRetriesLikeAThrownException)
     EXPECT_EQ(g_evals.load(), 4);
 }
 
+TEST(DaemonSweep, BusyRepliesAreRetriedNotQuarantined)
+{
+    // One worker, one pending slot: two direct requests fill both (the
+    // qubits==4 cell blocks in the worker, qubits==8 waits in the
+    // queue), so the runner's qubits==6 request is turned away "busy"
+    // until the latch opens. Its cell never ran; it must come back ok.
+    resetSynthState(false);
+    serve::ServeConfig config = baseConfig("serve_busy.sock");
+    config.workers = 1;
+    config.max_pending = 1;
+    serve::Daemon daemon(config, synthCatalog());
+    const serve::Workload wl = synthWorkload("default");
+    const std::vector<SweepCell> cells = wl.spec.cells();
+    ASSERT_EQ(cells[0].point.qubits, 4);
+    ASSERT_EQ(cells[2].point.qubits, 8);
+
+    serve::DaemonClient blocker =
+        serve::DaemonClient::connectUnix(config.socket_path);
+    ASSERT_TRUE(blocker.sendRun(1, "synth", "default", cells[0].keyString()));
+    ASSERT_TRUE(eventually([] { return g_evals.load() == 1; }));
+    serve::DaemonClient queued =
+        serve::DaemonClient::connectUnix(config.socket_path);
+    ASSERT_TRUE(queued.sendRun(1, "synth", "default", cells[2].keyString()));
+    ASSERT_TRUE(
+        eventually([&] { return daemon.stats().cells_queued == 1; }));
+
+    const std::string store = ::testing::TempDir() + "serve_busy.bin";
+    std::remove(store.c_str());
+    SweepSpec spec = wl.spec;
+    spec.cell_workers = 4;
+    SweepRunner runner = synthDaemonRunner(spec);
+    serve::DaemonCellSource source(config.socket_path, "synth", "default");
+    SweepReport report;
+    std::exception_ptr error;
+    std::thread sweep([&] {
+        store::BinarySweepSink sink(store, "synth");
+        try {
+            report = runner.run(source, &sink);
+        } catch (...) {
+            error = std::current_exception();
+        }
+    });
+    // A second rejection means the first one was asked again.
+    EXPECT_TRUE(
+        eventually([&] { return daemon.stats().rejected_busy >= 2; }));
+    g_release.store(true);
+    sweep.join();
+
+    ASSERT_FALSE(error);
+    EXPECT_EQ(report.executed, 3u);
+    EXPECT_EQ(report.failed, 0u);
+    for (const CellOutcome &outcome : report.outcomes)
+        EXPECT_TRUE(outcome.ok) << outcome.error;
+
+    // The same sweep in process, into a second store.
+    const std::string local_store =
+        ::testing::TempDir() + "serve_busy_local.bin";
+    std::remove(local_store.c_str());
+    {
+        store::BinarySweepSink sink(local_store, "synth");
+        SweepRunner(wl.spec).run(wl.fn, &sink);
+    }
+    {
+        store::BinarySweepSink sink(store, "synth");
+        store::BinarySweepSink local(local_store, "synth");
+        EXPECT_EQ(sink.quarantinedCells(), 0u);
+        EXPECT_EQ(sink.loadedCells(), 3u);
+        for (const SweepCell &cell : cells)
+            EXPECT_EQ(sink.underlyingStore().lineFor(cell.keyString()),
+                      local.underlyingStore().lineFor(cell.keyString()))
+                << cell.label;
+    }
+    std::remove(store.c_str());
+    std::remove(local_store.c_str());
+}
+
 TEST(DaemonSweep, RetryFailedReRequestsAQuarantinedCellAndHealsTheStore)
 {
     resetSynthState(true);
