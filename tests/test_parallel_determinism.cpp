@@ -62,43 +62,48 @@ struct ShardModeGuard
     ~ShardModeGuard() { detail::setBucketShardMode(-1); }
 };
 
+/**
+ * One RNG stream per trajectory and integer per-term tallies: the
+ * energy samples (samples = true) or the term expectations keep every
+ * bit between a team of 1 and a team of manyThreads().
+ */
+void
+expectFarmThreadCountInvariant(int n, uint64_t angle_seed,
+                               const Hamiltonian &ham, uint64_t seed,
+                               size_t trajectories, bool samples)
+{
+    const Circuit circuit = cliffordAnsatz(n, angle_seed);
+    auto run = [&](int threads) {
+        ThreadGuard guard(threads);
+        NoisyCliffordSimulator sim(testSpec(), seed);
+        return samples ? sim.energySamples(circuit, ham, trajectories)
+                       : sim.termExpectations(circuit, ham, trajectories);
+    };
+    const auto one = run(1);
+    const auto many = run(manyThreads());
+    ASSERT_EQ(one.size(), many.size());
+    for (size_t j = 0; j < one.size(); ++j)
+        EXPECT_EQ(one[j], many[j]) << "seed " << seed << ", value " << j;
+}
+
 } // namespace
+
+TEST(ParallelDeterminism, EnergySamplesMatchSerialReference)
+{
+    expectFarmThreadCountInvariant(12, 7, isingHamiltonian(12, 1.0), 99, 64,
+                                   true);
+}
+
+TEST(ParallelDeterminism, TermExpectationsMatchSerialReference)
+{
+    expectFarmThreadCountInvariant(14, 3, heisenbergHamiltonian(14, 1.0),
+                                   1234, 48, false);
+}
 
 TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
 {
-    // One RNG stream per trajectory and integer per-term tallies: the
-    // energy samples and the term expectations keep every bit between
-    // a team of 1 and a team of manyThreads().
-    struct Case
-    {
-        int n;
-        uint64_t angle_seed;
-        Hamiltonian ham;
-        uint64_t seed;
-        size_t trajectories;
-        bool samples; ///< energySamples, else termExpectations
-    };
-    const Case cases[] = {
-        {12, 7, isingHamiltonian(12, 1.0), 99, 64, true},
-        {14, 3, heisenbergHamiltonian(14, 1.0), 1234, 48, false},
-        {12, 11, isingHamiltonian(12, 0.5), 42, 40, false},
-    };
-    for (const Case &c : cases) {
-        const Circuit circuit = cliffordAnsatz(c.n, c.angle_seed);
-        auto run = [&](int threads) {
-            ThreadGuard guard(threads);
-            NoisyCliffordSimulator sim(testSpec(), c.seed);
-            return c.samples
-                       ? sim.energySamples(circuit, c.ham, c.trajectories)
-                       : sim.termExpectations(circuit, c.ham,
-                                              c.trajectories);
-        };
-        const auto one = run(1);
-        const auto many = run(manyThreads());
-        ASSERT_EQ(one.size(), many.size());
-        for (size_t j = 0; j < one.size(); ++j)
-            EXPECT_EQ(one[j], many[j]) << "seed " << c.seed << ", value " << j;
-    }
+    expectFarmThreadCountInvariant(12, 11, isingHamiltonian(12, 0.5), 42, 40,
+                                   false);
 }
 
 TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
