@@ -6,7 +6,8 @@
  *  - trajectory farm: serial-reference vs OpenMP-parallel
  *    termExpectations on a fig12-style Clifford workload (plus a
  *    bit-identity check between the two paths);
- *  - bucket-sharded expectationBatch vs the amplitude-parallel path;
+ *  - bucket-sharded expectationBatch vs the slice-parallel path (plus
+ *    a bit-identity check between the two axes);
  *  - EstimationEngine LRU energy cache, cold vs warm, on a GA-style
  *    population with duplicate genomes;
  *  - compiled gate pipeline: Statevector::runCompiled of the fused op
@@ -309,20 +310,32 @@ main(int argc, char **argv)
         };
     };
     warmThreadTeam();
-    batch_with(0)();
-    batch_with(1)();
+    // The untimed call per side also gives the values both axes must
+    // agree on bit for bit (the fixed-slice sweep contract).
+    detail::setBucketShardMode(0);
+    const std::vector<double> unsharded_vals =
+        psi.expectationBatch(batch_ham);
+    detail::setBucketShardMode(1);
+    const std::vector<double> sharded_vals = psi.expectationBatch(batch_ham);
+    const bool batch_identical =
+        unsharded_vals.size() == sharded_vals.size() &&
+        std::memcmp(unsharded_vals.data(), sharded_vals.data(),
+                    unsharded_vals.size() * sizeof(double)) == 0;
     const PairedTimes batch_times =
         interleavedPairs(batch_pairs, batch_with(0), batch_with(1));
     detail::setBucketShardMode(-1);
     const double batch_unsharded_ns = batch_times.medianA();
     const double batch_sharded_ns = batch_times.medianB();
     const double batch_speedup = batch_times.medianRatio();
-    const bool batch_ok = threads <= 1 || batch_speedup >= 1.0;
+    const bool batch_ok =
+        batch_identical && (threads <= 1 || batch_speedup >= 1.0);
     std::cout << "sharded_batch     " << batch_qubits << "q x "
               << batch_ham.nTerms() << " terms: unsharded "
               << batch_unsharded_ns << " ns/call, sharded "
               << batch_sharded_ns << " ns/call, speedup "
-              << batch_speedup << "\n";
+              << batch_speedup
+              << (batch_identical ? " (bit-identical)" : " (MISMATCH!)")
+              << "\n";
 
     // ---- 3. Energy cache, cold vs warm (GA-style population) -------
     const int cache_qubits = smoke ? 10 : 16;
@@ -790,6 +803,7 @@ main(int argc, char **argv)
     json.field("sharded_ns_per_call", batch_sharded_ns);
     json.field("timed_pairs", batch_pairs);
     json.field("speedup", batch_speedup);
+    json.field("bit_identical", batch_identical);
     json.field("speedup_gated", threads > 1);
     json.endObject();
     json.beginObject("energy_cache");
@@ -907,7 +921,7 @@ main(int argc, char **argv)
     if (!sweep_ok)
         return 5; // sweep warm cross-cell pass regressed (or wrong rows)
     if (!batch_ok)
-        return 6; // sharded batch slower than unsharded with threads>1
+        return 6; // sharded batch changed bits, or slower with threads>1
     if (!simd_ok)
         return 7; // SIMD kernels regressed vs scalar (or parity broke)
     if (!fault_ok)

@@ -74,26 +74,6 @@ Hamiltonian::apply(const std::vector<std::complex<double>> &v,
 }
 
 double
-Hamiltonian::expectation(const std::vector<std::complex<double>> &v) const
-{
-    const size_t dim = size_t{1} << n_;
-    if (v.size() != dim)
-        throw std::invalid_argument(
-            "Hamiltonian::expectation: bad vector size");
-    double energy = 0.0;
-    for (const auto &t : terms_) {
-        std::complex<double> amp;
-        std::complex<double> acc = 0.0;
-        for (uint64_t i = 0; i < dim; ++i) {
-            const uint64_t j = t.op.applyToBasis(i, amp);
-            acc += std::conj(v[j]) * amp * v[i];
-        }
-        energy += t.coefficient * acc.real();
-    }
-    return energy;
-}
-
-double
 Hamiltonian::groundStateEnergy(size_t max_iterations) const
 {
     const size_t dim = size_t{1} << n_;

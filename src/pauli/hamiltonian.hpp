@@ -64,9 +64,6 @@ class Hamiltonian
     void apply(const std::vector<std::complex<double>> &v,
                std::vector<std::complex<double>> &out) const;
 
-    /** <v|H|v> for a normalized dense vector. */
-    double expectation(const std::vector<std::complex<double>> &v) const;
-
     /**
      * Exact smallest eigenvalue via Lanczos (see lanczos.hpp). Suitable
      * for n <= ~20; the paper's density-matrix studies use n <= 12.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Memoized sweep chunk plans for expectationBatchSweep. Bucketing a
+ * Memoized sweep chunk plans for Statevector::expectationBatch. Bucketing a
  * Hamiltonian by X-mask and flattening the buckets into 4-lane chunks
  * is cheap once, but GA and shot loops evaluate the same Hamiltonian
  * tens of thousands of times — so the plan is cached per content hash.
@@ -9,6 +9,7 @@
 #include "sim/lane_sweep.hpp"
 
 #include "common/content_lru.hpp"
+#include "pauli/term_groups.hpp"
 
 namespace eftvqa {
 namespace detail {

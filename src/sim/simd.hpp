@@ -24,9 +24,12 @@
  * bit-identical to the scalar one. The expectation sweep is the one
  * exception: it accumulates into per-lane vector accumulators and
  * reduces them in a fixed order at the end, which reorders the sum
- * relative to the scalar sweep. It is therefore gated behind a tested
- * <= 1e-12 parity contract, and laneSweepSerial (lane_sweep.hpp)
- * remains the deterministic reference used by the sharded batch.
+ * relative to the scalar laneSweepSerial, so the two are held to a
+ * tested <= 1e-12 parity contract. Every statevector Pauli query runs
+ * through sweepChunkSv: a fixed 8-slice partition whose partials merge
+ * in slice order, so on each ISA (and with vector lanes pinned off)
+ * every term gets the same bits at any OpenMP team size and shard
+ * axis, single terms included.
  *
  * Mode pinning: setSimdMode(0) forces the scalar paths (benches and
  * parity tests), setSimdMode(-1) restores the default auto dispatch.
@@ -1123,7 +1126,6 @@ zeroRun(cd *p, size_t n)
         p[i] = cd{0.0, 0.0};
 }
 
-#if defined(EFTVQA_SIMD_VECTOR)
 namespace detail {
 
 /** Fixed slice count for the sweep: partials are merged in slice
@@ -1134,8 +1136,8 @@ inline constexpr size_t kSweepSlices = 8;
 
 template <class SliceFn>
 inline void
-sweepSliced(size_t dim, size_t lanes, bool parallel, double *out_re,
-            double *out_im, SliceFn &&slice)
+sweepSliced(size_t dim, size_t lanes, bool parallel, cd *out,
+            SliceFn &&slice)
 {
     const size_t nslices =
         dim >= kSweepSlices * kLanes * 2 ? kSweepSlices : 1;
@@ -1157,53 +1159,107 @@ sweepSliced(size_t dim, size_t lanes, bool parallel, double *out_re,
             re += partial[s][k].real();
             im += partial[s][k].imag();
         }
-        out_re[k] = re;
-        out_im[k] = im;
+        out[k] = cd{re, im};
+    }
+}
+
+/**
+ * Scalar slice kernel of the sweep: accumulate
+ * sum_i (-1)^{parity(i & z_k)} * load(i) for kL terms over
+ * i in [start, start + len). Stack-scalar accumulators keep the
+ * per-lane sums in registers — heap-array accumulators cost a memory
+ * round-trip per term per amplitude, which eats the benefit of sharing
+ * load(i) across the lanes. Hermitian Pauli terms with no X support
+ * contribute only real parts, so kWantImag = false lets diagonal
+ * groups skip half the arithmetic.
+ */
+template <int kL, bool kWantImag, class LoadFn>
+inline void
+laneSweepSerial(uint64_t start, size_t len, const uint64_t *z,
+                LoadFn &&load, cd *out)
+{
+    double re[kL] = {};
+    double im[kL] = {};
+    for (uint64_t i = start; i < start + len; ++i) {
+        const cd p = load(i);
+        for (int k = 0; k < kL; ++k) {
+            const bool neg = std::popcount(i & z[k]) & 1;
+            re[k] += neg ? -p.real() : p.real();
+            if constexpr (kWantImag)
+                im[k] += neg ? -p.imag() : p.imag();
+        }
+    }
+    for (int k = 0; k < kL; ++k)
+        out[k] = cd{re[k], im[k]};
+}
+
+/** laneSweepSerial on the run-time lane count (1, 2 or up-to-4; a
+ *  spare lane carries a zero mask and its sum is ignored). */
+template <bool kWantImag, class LoadFn>
+inline void
+laneSweepLanes(uint64_t start, size_t len, size_t lanes, const uint64_t *z,
+               LoadFn &&load, cd *out)
+{
+    switch (lanes) {
+      case 1:
+        laneSweepSerial<1, kWantImag>(start, len, z, load, out);
+        break;
+      case 2:
+        laneSweepSerial<2, kWantImag>(start, len, z, load, out);
+        break;
+      default:
+        laneSweepSerial<4, kWantImag>(start, len, z, load, out);
+        break;
     }
 }
 
 } // namespace detail
-#endif
 
 /**
- * Statevector expectation sweep chunk (up to 4 terms sharing an
- * X-mask). Returns false when the vector path is unavailable; the
- * caller then runs the scalar lane sweep.
+ * Statevector expectation sweep over one chunk: up to 4 terms sharing
+ * the X-mask @p xm, with Z-masks @p z, summed into out[k] =
+ * sum_i (-1)^{parity(i & z_k)} conj(a_{i^xm}) a_i. The traversal is cut
+ * into the fixed slices of sweepSliced; each slice is summed by the
+ * vector kernel, or by laneSweepSerial when vector lanes are off, and
+ * the partials merge in slice order. A lane's sum never depends on the
+ * other lanes, on @p parallel or on the OpenMP team size.
  */
-inline bool
-trySweepChunkSv(const cd *data, size_t dim, uint64_t xm, size_t lanes,
-                const uint64_t *z, bool parallel, double *out_re,
-                double *out_im)
+inline void
+sweepChunkSv(const cd *data, size_t dim, uint64_t xm, size_t lanes,
+             const uint64_t *z, bool parallel, cd *out)
 {
+    [[maybe_unused]] const bool use_vector = enabled() && dim >= kLanes;
+    detail::sweepSliced(dim, lanes, parallel, out, [&](uint64_t start,
+                                                       size_t len,
+                                                       cd *part) {
 #if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || dim < kLanes)
-        return false;
-    if (xm == 0)
-        detail::sweepSliced(dim, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepSvDiag(data, start,
-                                                        len, lanes, z,
-                                                        out);
-                            });
-    else
-        detail::sweepSliced(dim, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepSvBand(data, start,
-                                                        len, xm, lanes,
-                                                        z, out);
-                            });
-    return true;
-#else
-    (void)data;
-    (void)dim;
-    (void)xm;
-    (void)lanes;
-    (void)z;
-    (void)parallel;
-    (void)out_re;
-    (void)out_im;
-    return false;
+        if (use_vector) {
+            if (xm == 0)
+                detail::kernSweepSvDiag(data, start, len, lanes, z, part);
+            else
+                detail::kernSweepSvBand(data, start, len, xm, lanes, z,
+                                        part);
+            return;
+        }
 #endif
+        if (xm == 0)
+            detail::laneSweepLanes<false>(
+                start, len, lanes, z,
+                [data](uint64_t i) { return cd{std::norm(data[i]), 0.0}; },
+                part);
+        else
+            detail::laneSweepLanes<true>(
+                start, len, lanes, z,
+                [data, xm](uint64_t i) {
+                    return std::conj(data[i ^ xm]) * data[i];
+                },
+                part);
+    });
+    // A diagonal sum is real; the x86 vnormPairs fills both slots of a
+    // lane, so drop that copy (it matters for a term with phase +-i).
+    if (xm == 0)
+        for (size_t k = 0; k < lanes; ++k)
+            out[k] = cd{out[k].real(), 0.0};
 }
 
 // ================================================================ //

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "pauli/term_groups.hpp"
 #include "sim/lane_sweep.hpp"
 #include "vqa/fault.hpp"
 
@@ -540,33 +539,24 @@ Statevector::expectation(const PauliString &p) const
     if (p.nQubits() != n_)
         throw std::invalid_argument(
             "Statevector::expectation: size mismatch");
+    // A one-lane chunk: the same sweep, slices and merge order as the
+    // term's entry in expectationBatch.
     const auto &xw = p.xWords();
     const auto &zw = p.zWords();
-    const uint64_t xm = xw.empty() ? 0 : xw[0];
-    const uint64_t zm = zw.empty() ? 0 : zw[0];
-    const size_t dim = data_.size();
-    double re = 0.0, im = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : re, im)                               \
-    if (dim >= (size_t{1} << 14))
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(dim); ++si) {
-        const auto i = static_cast<uint64_t>(si);
-        const std::complex<double> v =
-            std::conj(data_[i ^ xm]) * data_[i];
-        const bool neg = std::popcount(i & zm) & 1;
-        re += neg ? -v.real() : v.real();
-        im += neg ? -v.imag() : v.imag();
-    }
-    return (p.phase() * std::complex<double>{re, im}).real();
+    const uint64_t z = zw.empty() ? 0 : zw[0];
+    Cd sum;
+    simd::sweepChunkSv(data_.data(), data_.size(), xw.empty() ? 0 : xw[0],
+                       1, &z, true, &sum);
+    return (p.phase() * sum).real();
 }
 
 double
 Statevector::expectation(const Hamiltonian &h) const
 {
+    const std::vector<double> vals = expectationBatch(h);
     double energy = 0.0;
-    for (const auto &t : h.terms())
-        energy += t.coefficient * expectation(t.op);
+    for (size_t k = 0; k < vals.size(); ++k)
+        energy += h.terms()[k].coefficient * vals[k];
     return energy;
 }
 
@@ -576,24 +566,34 @@ Statevector::expectationBatch(const Hamiltonian &h) const
     if (h.nQubits() != n_)
         throw std::invalid_argument(
             "Statevector::expectationBatch: size mismatch");
-    const size_t dim = data_.size();
-    const std::complex<double> *data = data_.data();
-    return detail::expectationBatchSweep(
-        h, dim,
-        // Diagonal group: |a_i|^2 weights, no imaginary part.
-        [data](uint64_t i) {
-            return std::complex<double>{std::norm(data[i]), 0.0};
-        },
-        [data](uint64_t xm) {
-            return [data, xm](uint64_t i) {
-                return std::conj(data[i ^ xm]) * data[i];
-            };
-        },
-        [data, dim](uint64_t xm, size_t lanes, const uint64_t *z,
-                    bool parallel, double *out_re, double *out_im) {
-            return simd::trySweepChunkSv(data, dim, xm, lanes, z,
-                                         parallel, out_re, out_im);
-        });
+    const auto &terms = h.terms();
+    std::vector<double> out(terms.size(), 0.0);
+    const auto plan = detail::sweepChunkPlan(h);
+    const auto &chunks = *plan;
+    auto sweep = [&](const detail::SweepChunk &c, bool parallel) {
+        Cd sum[4];
+        simd::sweepChunkSv(data_.data(), data_.size(), c.xm, c.lanes, c.z,
+                           parallel, sum);
+        for (size_t k = 0; k < c.lanes; ++k) {
+            const size_t t = c.term[k];
+            out[t] = (terms[t].op.phase() * sum[k]).real();
+        }
+    };
+    // Chunks write disjoint out[] slots, and a chunk's sums do not
+    // depend on whether its slices fork: either axis gives the same
+    // bits.
+    if (detail::shouldShardBuckets(chunks.size(), data_.size())) {
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+        for (int64_t ci = 0; ci < static_cast<int64_t>(chunks.size());
+             ++ci)
+            sweep(chunks[static_cast<size_t>(ci)], false);
+    } else {
+        for (const detail::SweepChunk &c : chunks)
+            sweep(c, true);
+    }
+    return out;
 }
 
 std::vector<double>

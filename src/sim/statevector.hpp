@@ -84,20 +84,26 @@ class Statevector
     /** Reset qubit q to |0> (measure and conditionally flip). */
     void reset(size_t q, Rng &rng);
 
-    /** <psi|P|psi> for a Hermitian Pauli. */
+    /**
+     * <psi|P|psi> for a Hermitian Pauli: a one-lane sweep chunk, so it
+     * equals P's entry in expectationBatch bit for bit.
+     */
     double expectation(const PauliString &p) const;
 
-    /** <psi|H|psi>. */
+    /** <psi|H|psi>: the coefficient sum over expectationBatch(h). */
     double expectation(const Hamiltonian &h) const;
 
     /**
      * All term expectations of @p h, aligned with h.terms(). Terms are
-     * bucketed by X-mask and each bucket is evaluated in a single
-     * traversal of the amplitudes: the per-basis-state complex product
-     * conj(a_{i^x}) * a_i is computed once and reused by every term of
-     * the bucket (OpenMP-parallel over amplitudes). For Hamiltonians
+     * bucketed by X-mask into chunks of up to four, and each chunk is
+     * evaluated in a single traversal of the amplitudes: the
+     * per-basis-state complex product conj(a_{i^x}) * a_i is computed
+     * once and reused by every term of the chunk. For Hamiltonians
      * with many terms per bucket — any Z-diagonal family — this beats
-     * per-term expectation() by the bucket size.
+     * per-term expectation() by the bucket size. Every traversal is
+     * cut into the fixed slices of simd::sweepChunkSv and merged in
+     * slice order, so each value has the same bits at any OpenMP team
+     * size, whether the chunks or the slices fork.
      */
     std::vector<double> expectationBatch(const Hamiltonian &h) const;
 

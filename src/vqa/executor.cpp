@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace eftvqa {
 
 WorkerPool::WorkerPool(size_t threads) : threads_(threads)
@@ -35,6 +39,14 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::enqueue(std::function<void()> job)
 {
+#ifdef _OPENMP
+    // The job runs at the enqueuer's OpenMP team size, not at whatever
+    // the worker thread last held.
+    job = [team = omp_get_max_threads(), inner = std::move(job)] {
+        omp_set_num_threads(team);
+        inner();
+    };
+#endif
     {
         std::unique_lock<std::mutex> lock(mutex_);
         if (stop_) {

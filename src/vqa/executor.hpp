@@ -47,10 +47,11 @@ class WorkerPool
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Enqueue a job; spawns the workers on first use. If the pool is
-     * already stopping (destructor racing a late producer), the job
-     * runs inline on the calling thread rather than being stranded in
-     * a queue no worker will drain.
+     * Enqueue a job; spawns the workers on first use. The job runs at
+     * the OpenMP team size (omp_get_max_threads()) of the calling
+     * thread. If the pool is already stopping (destructor racing a
+     * late producer), the job runs inline on the calling thread rather
+     * than being stranded in a queue no worker will drain.
      */
     void enqueue(std::function<void()> job);
 

@@ -253,7 +253,7 @@ ExperimentSession::ExperimentSession(ExperimentSpec spec)
 ExperimentSession::ExperimentSession(
     ExperimentSpec spec, std::shared_ptr<SharedEnergyCache> shared_cache)
     : spec_(std::move(spec)), ham_hash_(spec_.hamiltonian.contentHash()),
-      cache_(std::move(shared_cache)), pool_(spec_.executor_threads)
+      cache_(std::move(shared_cache))
 {
     spec_.validate();
     if (cache_ && !spec_.share_cache)

@@ -184,10 +184,6 @@ struct ExperimentSpec
      */
     bool share_cache = true;
 
-    /** Session executor threads for submit(); 0 = pick a small default
-     *  from the hardware concurrency. */
-    size_t executor_threads = 0;
-
     /** Regime lookup by name; throws listing the known names. */
     const RegimeSpec &regime(std::string_view name) const;
     bool hasRegime(std::string_view name) const;

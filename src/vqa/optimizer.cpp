@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/rng.hpp"
+
 namespace eftvqa {
 
 namespace {
@@ -142,123 +144,6 @@ NelderMeadOptimizer::minimize(const ObjectiveFn &fn,
                 }
             }
         }
-    }
-    return result;
-}
-
-// --------------------------------------------------------------------
-// SPSA
-// --------------------------------------------------------------------
-
-SpsaOptimizer::SpsaOptimizer(uint64_t seed, double a, double c)
-    : rng_(seed), a_(a), c_(c)
-{
-}
-
-OptimizerResult
-SpsaOptimizer::minimize(const ObjectiveFn &fn, std::vector<double> initial,
-                        size_t max_evals)
-{
-    if (initial.empty())
-        throw std::invalid_argument("SPSA: empty parameter vector");
-    OptimizerResult result;
-    TrackedObjective objective(fn, result);
-
-    constexpr double alpha = 0.602, gamma_exp = 0.101, big_a = 10.0;
-    std::vector<double> theta = initial;
-    std::vector<double> delta(theta.size());
-    std::vector<double> plus(theta.size()), minus(theta.size());
-
-    size_t k = 0;
-    objective(theta);
-    while (result.evaluations + 2 <= max_evals) {
-        const double ak =
-            a_ / std::pow(static_cast<double>(k) + 1.0 + big_a, alpha);
-        const double ck =
-            c_ / std::pow(static_cast<double>(k) + 1.0, gamma_exp);
-        for (size_t d = 0; d < theta.size(); ++d)
-            delta[d] = rng_.bernoulli(0.5) ? 1.0 : -1.0;
-        for (size_t d = 0; d < theta.size(); ++d) {
-            plus[d] = theta[d] + ck * delta[d];
-            minus[d] = theta[d] - ck * delta[d];
-        }
-        const double fp = objective(plus);
-        const double fm = objective(minus);
-        for (size_t d = 0; d < theta.size(); ++d)
-            theta[d] -= ak * (fp - fm) / (2.0 * ck * delta[d]);
-        ++k;
-    }
-    if (result.evaluations < max_evals)
-        objective(theta);
-    return result;
-}
-
-// --------------------------------------------------------------------
-// Implicit filtering (lite)
-// --------------------------------------------------------------------
-
-ImplicitFilteringOptimizer::ImplicitFilteringOptimizer(double initial_h,
-                                                       double shrink)
-    : h0_(initial_h), shrink_(shrink)
-{
-    if (initial_h <= 0.0 || shrink <= 0.0 || shrink >= 1.0)
-        throw std::invalid_argument("ImplicitFiltering: bad parameters");
-}
-
-OptimizerResult
-ImplicitFilteringOptimizer::minimize(const ObjectiveFn &fn,
-                                     std::vector<double> initial,
-                                     size_t max_evals)
-{
-    if (initial.empty())
-        throw std::invalid_argument(
-            "ImplicitFiltering: empty parameter vector");
-    OptimizerResult result;
-    TrackedObjective objective(fn, result);
-
-    std::vector<double> x = initial;
-    double fx = objective(x);
-    double h = h0_;
-
-    while (result.evaluations + 2 * x.size() <= max_evals && h > 1e-6) {
-        // Central-difference stencil gradient.
-        std::vector<double> grad(x.size());
-        bool stencil_improved = false;
-        for (size_t d = 0; d < x.size(); ++d) {
-            auto xp = x, xm = x;
-            xp[d] += h;
-            xm[d] -= h;
-            const double fp = objective(xp);
-            const double fm = objective(xm);
-            grad[d] = (fp - fm) / (2.0 * h);
-            if (fp < fx || fm < fx)
-                stencil_improved = true;
-        }
-        // Backtracking line search along -grad.
-        double norm = 0.0;
-        for (double g : grad)
-            norm += g * g;
-        norm = std::sqrt(norm);
-        bool moved = false;
-        if (norm > 1e-12) {
-            double step = h;
-            for (int tries = 0;
-                 tries < 4 && result.evaluations < max_evals; ++tries) {
-                auto candidate = x;
-                for (size_t d = 0; d < x.size(); ++d)
-                    candidate[d] -= step * grad[d] / norm;
-                const double fc = objective(candidate);
-                if (fc < fx) {
-                    x = candidate;
-                    fx = fc;
-                    moved = true;
-                    break;
-                }
-                step *= 0.5;
-            }
-        }
-        if (!moved && !stencil_improved)
-            h *= shrink_; // stencil failure: refine the scale
     }
     return result;
 }

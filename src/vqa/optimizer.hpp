@@ -4,10 +4,10 @@
  * and ImFil for continuous parameters, a genetic algorithm for the
  * discrete Clifford parameter space).
  *
- * Continuous optimizers implemented from scratch: Nelder–Mead (the
- * derivative-free simplex family Cobyla belongs to), SPSA, and a
- * stencil-based implicit-filtering-lite. The genetic optimizer lives
- * here too; clifford_vqe.hpp wires it to the stabilizer backend.
+ * The continuous optimizer is Nelder–Mead, implemented from scratch
+ * (the derivative-free simplex family Cobyla belongs to). The genetic
+ * optimizer lives here too; clifford_vqe.hpp wires it to the
+ * stabilizer backend.
  */
 
 #ifndef EFTVQA_VQA_OPTIMIZER_HPP
@@ -16,8 +16,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace eftvqa {
 
@@ -60,42 +58,6 @@ class NelderMeadOptimizer : public Optimizer
 
   private:
     double step_;
-};
-
-/** Simultaneous perturbation stochastic approximation. */
-class SpsaOptimizer : public Optimizer
-{
-  public:
-    explicit SpsaOptimizer(uint64_t seed = 7, double a = 0.2,
-                           double c = 0.15);
-    OptimizerResult minimize(const ObjectiveFn &fn,
-                             std::vector<double> initial,
-                             size_t max_evals) override;
-    std::string name() const override { return "spsa"; }
-
-  private:
-    Rng rng_;
-    double a_;
-    double c_;
-};
-
-/**
- * Implicit-filtering-lite: central-difference stencil gradient descent
- * with a geometrically shrinking stencil (Kelley 2011, simplified).
- */
-class ImplicitFilteringOptimizer : public Optimizer
-{
-  public:
-    explicit ImplicitFilteringOptimizer(double initial_h = 0.5,
-                                        double shrink = 0.5);
-    OptimizerResult minimize(const ObjectiveFn &fn,
-                             std::vector<double> initial,
-                             size_t max_evals) override;
-    std::string name() const override { return "imfil-lite"; }
-
-  private:
-    double h0_;
-    double shrink_;
 };
 
 /** Objective over discrete parameter assignments. */

@@ -503,7 +503,6 @@ SweepSpec::cells() const
         experiment.genetic = genetic;
         experiment.cache_capacity = cache_capacity;
         experiment.share_cache = share_cache;
-        experiment.executor_threads = executor_threads;
 
         if (customize)
             customize(cell.point, experiment);

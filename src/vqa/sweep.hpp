@@ -355,7 +355,6 @@ struct SweepSpec
      *  identical (Hamiltonian, regime, circuit) work is paid once per
      *  sweep. false: each cell caches privately per its spec. */
     bool share_cache = true;
-    size_t executor_threads = 0; ///< per-session submit() executor
 
     /** Concurrent cells (with a CellLineSource: requests in flight);
      *  0 = a small hardware default, 1 = serial. Never changes results

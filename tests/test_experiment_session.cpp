@@ -12,11 +12,13 @@
 
 #include <cmath>
 #include <future>
+#include <vector>
 
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "vqa/executor.hpp"
 #include "vqa/experiment.hpp"
 
 #include "thread_guard.hpp"
@@ -315,6 +317,28 @@ TEST(ExperimentSession, CacheEntriesEqualReEvaluationAfterRebuild)
 // Async submit: bit-identity vs the serial engine path
 // --------------------------------------------------------------------
 
+TEST(WorkerPool, JobsRunAtTheEnqueuersTeamSize)
+{
+#ifdef _OPENMP
+    // Workers start at the process default team; each job must see the
+    // team size of the thread that enqueued it instead, also when the
+    // same worker ran a job of another enqueuer before.
+    const int base = omp_get_max_threads();
+    WorkerPool pool(2);
+    for (const int team : {base + 1, base + 2}) {
+        ThreadGuard guard(team);
+        std::vector<int> seen(8, 0);
+        for (size_t i = 0; i < seen.size(); ++i)
+            pool.enqueue([&seen, i] { seen[i] = omp_get_max_threads(); });
+        pool.waitIdle();
+        for (size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], team) << "job " << i;
+    }
+#else
+    GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
 TEST(ExperimentSession, SubmitMatchesSerialEnginePathAtAnyThreadCount)
 {
     const int n = 6;
@@ -364,7 +388,6 @@ TEST(ExperimentSession, SubmitMatchesSerialEnginePathAtAnyThreadCount)
             spec.regimes = {regime};
             spec.share_cache = false; // every submit really evaluates
             spec.cache_capacity = 0;
-            spec.executor_threads = 2;
             ExperimentSession session(std::move(spec));
             std::vector<std::future<double>> futures;
             for (const Circuit &c : circuits)

@@ -31,16 +31,6 @@ TEST(Hamiltonian, OneNorm)
     EXPECT_DOUBLE_EQ(h.oneNorm(), 5.0);
 }
 
-TEST(Hamiltonian, SingleZExpectation)
-{
-    Hamiltonian h(1);
-    h.addTerm(1.0, "Z");
-    std::vector<std::complex<double>> zero = {1.0, 0.0};
-    std::vector<std::complex<double>> one = {0.0, 1.0};
-    EXPECT_NEAR(h.expectation(zero), 1.0, 1e-12);
-    EXPECT_NEAR(h.expectation(one), -1.0, 1e-12);
-}
-
 TEST(Hamiltonian, ApplyMatchesManualMatrix)
 {
     // H = X on 1 qubit: H|0> = |1>.

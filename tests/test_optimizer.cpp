@@ -55,45 +55,6 @@ TEST(NelderMead, RejectsEmptyStart)
     EXPECT_THROW(opt.minimize(bowl, {}, 10), std::invalid_argument);
 }
 
-TEST(Spsa, ImprovesNoisyObjective)
-{
-    Rng noise(3);
-    auto noisy = [&noise](const std::vector<double> &x) {
-        return bowl(x) + noise.normal(0.0, 0.01);
-    };
-    SpsaOptimizer opt(5);
-    const auto result = opt.minimize(noisy, {2.0, 1.0}, 600);
-    EXPECT_LT(result.best_value, bowl({2.0, 1.0}));
-    EXPECT_NEAR(result.best_value, -1.0, 0.3);
-}
-
-TEST(Spsa, DeterministicForSeed)
-{
-    SpsaOptimizer a(9), b(9);
-    const auto ra = a.minimize(bowl, {2.0, 2.0}, 100);
-    const auto rb = b.minimize(bowl, {2.0, 2.0}, 100);
-    EXPECT_DOUBLE_EQ(ra.best_value, rb.best_value);
-}
-
-TEST(ImplicitFiltering, MinimizesQuadratic)
-{
-    ImplicitFilteringOptimizer opt(0.5);
-    const auto result = opt.minimize(bowl, {3.0, 3.0}, 400);
-    EXPECT_NEAR(result.best_value, -1.0, 1e-2);
-}
-
-TEST(ImplicitFiltering, HandlesFlatRegionsByShrinking)
-{
-    // Piecewise objective flat near start: needs stencil refinement.
-    auto plateau = [](const std::vector<double> &x) {
-        const double r = std::abs(x[0]);
-        return r < 0.2 ? 0.0 : r;
-    };
-    ImplicitFilteringOptimizer opt(1.0);
-    const auto result = opt.minimize(plateau, {2.0}, 300);
-    EXPECT_LE(result.best_value, 0.0 + 1e-9);
-}
-
 TEST(Genetic, FindsDiscreteMinimum)
 {
     // Minimum at all-2 assignment.

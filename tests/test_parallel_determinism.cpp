@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
@@ -62,6 +65,23 @@ struct ShardModeGuard
     ~ShardModeGuard() { detail::setBucketShardMode(-1); }
 };
 
+/** Restore the SIMD dispatch to auto when a test scope exits. */
+struct SimdModeGuard
+{
+    explicit SimdModeGuard(int mode) { simd::setSimdMode(mode); }
+    ~SimdModeGuard() { simd::setSimdMode(-1); }
+};
+
+/** Number of positions where @p a and @p b differ in any bit. */
+size_t
+bitMismatches(const std::vector<double> &a, const std::vector<double> &b)
+{
+    size_t bad = a.size() == b.size() ? 0 : std::max(a.size(), b.size());
+    for (size_t k = 0; k < std::min(a.size(), b.size()); ++k)
+        bad += std::memcmp(&a[k], &b[k], sizeof(double)) != 0;
+    return bad;
+}
+
 /**
  * One RNG stream per trajectory and integer per-term tallies: the
  * energy samples (samples = true) or the term expectations keep every
@@ -108,9 +128,9 @@ TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
 
 TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 {
-    // dim 2^12 < the amplitude-parallel threshold, so the unsharded
-    // path is the one-thread ascending-index reference the sharded
-    // path must reproduce exactly.
+    // dim 2^12 < the slice-fork threshold, so the unsharded path is
+    // the one-thread slice-order reference the sharded path must
+    // reproduce exactly.
     const int n = 12;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);
@@ -133,23 +153,53 @@ TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 
 TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
 {
-    const int n = 14;
-    Statevector psi(n);
-    const auto ansatz = fcheAnsatz(n, 1);
-    psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.7)));
-    const auto ham = heisenbergHamiltonian(n, 1.0);
+    // Every statevector Pauli query runs the fixed-slice sweep: a
+    // batch keeps every bit on a team of 1 and of manyThreads(),
+    // whichever axis forks (auto, slices, chunks), with the SIMD
+    // dispatch pinned to scalar and left on auto, and each single-term
+    // expectation equals its batch entry.
+    for (const int n : {14, 16}) {
+        const auto ansatz = fcheAnsatz(n, 1);
+        Rng rng(2024 + static_cast<uint64_t>(n));
+        std::vector<double> params(ansatz.nParameters());
+        for (auto &p : params)
+            p = rng.uniform(-M_PI, M_PI);
+        Statevector psi(static_cast<size_t>(n));
+        psi.run(ansatz.bind(params));
+        const std::pair<const char *, Hamiltonian> hams[] = {
+            {"ising", isingHamiltonian(n, 1.0)},
+            {"heisenberg", heisenbergHamiltonian(n, 1.0)}};
 
-    ShardModeGuard guard(1);
-    auto batch = [&](int threads) {
-        ThreadGuard team(threads);
-        return psi.expectationBatch(ham);
-    };
-    const auto one = batch(1);
-    const auto many = batch(manyThreads());
-
-    ASSERT_EQ(one.size(), many.size());
-    for (size_t k = 0; k < one.size(); ++k)
-        EXPECT_EQ(one[k], many[k]) << "term " << k;
+        for (const auto &[name, ham] : hams)
+            for (const int simd_mode : {0, -1}) {
+                SimdModeGuard simd_guard(simd_mode);
+                std::vector<double> reference;
+                for (const int shard : {-1, 0, 1})
+                    for (const int threads : {1, manyThreads()}) {
+                        ShardModeGuard shard_guard(shard);
+                        ThreadGuard team(threads);
+                        const auto batch = psi.expectationBatch(ham);
+                        if (reference.empty())
+                            reference = batch;
+                        EXPECT_EQ(bitMismatches(batch, reference), 0u)
+                            << name << " " << n << "q, simd " << simd_mode
+                            << ", shard " << shard << ", " << threads
+                            << " threads: batch values that differ from "
+                               "a team of 1 at shard -1";
+                    }
+                for (const int threads : {1, manyThreads()}) {
+                    ThreadGuard team(threads);
+                    std::vector<double> singles;
+                    for (const auto &t : ham.terms())
+                        singles.push_back(psi.expectation(t.op));
+                    EXPECT_EQ(bitMismatches(singles, reference), 0u)
+                        << name << " " << n << "q, simd " << simd_mode
+                        << ", " << threads
+                        << " threads: single terms that differ from "
+                           "their batch entry";
+                }
+            }
+    }
 }
 
 TEST(ParallelDeterminism, EnergiesBatchMatchesSerialReference)

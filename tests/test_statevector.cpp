@@ -26,6 +26,17 @@ TEST(Statevector, HadamardCreatesSuperposition)
     EXPECT_NEAR(std::norm(psi.amplitudes()[1]), 0.5, 1e-12);
 }
 
+TEST(Statevector, SingleZExpectation)
+{
+    Hamiltonian h(1);
+    h.addTerm(1.0, "Z");
+    Statevector psi(1);
+    EXPECT_NEAR(psi.expectation(h), 1.0, 1e-12);
+    psi.applyGate(Gate(GateType::X, 0));
+    EXPECT_NEAR(psi.expectation(h), -1.0, 1e-12);
+    EXPECT_NEAR(psi.expectation(PauliString::fromLabel("Z")), -1.0, 1e-12);
+}
+
 TEST(Statevector, BellStateExpectations)
 {
     Statevector psi(2);

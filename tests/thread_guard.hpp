@@ -4,9 +4,10 @@
  *
  * The team size is the only thread control of the library: every
  * serial-versus-parallel test runs the same call on a team of 1 and on
- * a team of manyThreads(). omp_set_num_threads sets a per-thread value,
- * so compute each side on the thread that holds the guard (engine or
- * simulator calls), never through ExperimentSession::submit workers.
+ * a team of manyThreads(). omp_set_num_threads sets a per-thread value;
+ * WorkerPool jobs (ExperimentSession::submit, SweepRunner cells) run
+ * at the team size of the thread that enqueued them, so a guard on the
+ * test thread also sets the team of the work it submits.
  */
 
 #ifndef EFTVQA_TESTS_THREAD_GUARD_HPP
