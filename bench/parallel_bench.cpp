@@ -7,7 +7,9 @@
  *    termExpectations on a fig12-style Clifford workload (plus a
  *    bit-identity check between the two paths);
  *  - bucket-sharded expectationBatch vs the slice-parallel path (plus
- *    a bit-identity check between the two axes);
+ *    a bit-identity check between the two axes), at 14 qubits in
+ *    smoke and 16 otherwise: at or above the fork grain, so both axes
+ *    fork;
  *  - EstimationEngine LRU energy cache, cold vs warm, on a GA-style
  *    population with duplicate genomes;
  *  - compiled gate pipeline: Statevector::runCompiled of the fused op
@@ -295,7 +297,13 @@ main(int argc, char **argv)
               << "\n";
 
     // ---- 2. Bucket-sharded expectationBatch ------------------------
-    const int batch_qubits = smoke ? 12 : 16;
+    // Both sizes reach the fork grain, so the slice axis forks too and
+    // the gate compares the two axes, not forking against not forking.
+    constexpr int kBatchSmokeQubits = 14, kBatchQubits = 16;
+    static_assert((size_t{1} << kBatchSmokeQubits) >=
+                  simd::kParallelGrainAmps);
+    static_assert((size_t{1} << kBatchQubits) >= simd::kParallelGrainAmps);
+    const int batch_qubits = smoke ? kBatchSmokeQubits : kBatchQubits;
     const int batch_pairs = smoke ? 9 : 21;
     Statevector psi(static_cast<size_t>(batch_qubits));
     const auto batch_ansatz = fcheAnsatz(batch_qubits, 1);

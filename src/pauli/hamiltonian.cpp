@@ -63,12 +63,28 @@ Hamiltonian::apply(const std::vector<std::complex<double>> &v,
     if (v.size() != dim)
         throw std::invalid_argument("Hamiltonian::apply: bad vector size");
     out.assign(dim, {0.0, 0.0});
+    // Real arithmetic on the interleaved (re, im) pairs: P|i> =
+    // i^e (-1)^parity(i & z) |i ^ x>, so row j = i ^ x accumulates
+    // w v_i (e even) or i w v_i (e odd) with the real w = +-c: the same
+    // products as the complex c * i^e * v_i, whose other terms are
+    // exact zeros.
+    const double *in = reinterpret_cast<const double *>(v.data());
+    double *acc = reinterpret_cast<double *>(out.data());
     for (const auto &t : terms_) {
-        std::complex<double> amp;
+        const uint64_t xm = n_ == 0 ? 0 : t.op.xWords()[0];
+        const uint64_t zm = n_ == 0 ? 0 : t.op.zWords()[0];
+        const int e = t.op.phaseExponent() & 3;
+        const double c = e & 2 ? -t.coefficient : t.coefficient;
         for (uint64_t i = 0; i < dim; ++i) {
-            const uint64_t j = t.op.applyToBasis(i, amp);
-            // H|v> row j accumulates P[j,i] * v[i]; P|i> = amp |j>.
-            out[j] += t.coefficient * amp * v[i];
+            const double w = std::popcount(i & zm) & 1 ? -c : c;
+            double *o = acc + 2 * (i ^ xm);
+            if (e & 1) {
+                o[0] -= w * in[2 * i + 1];
+                o[1] += w * in[2 * i];
+            } else {
+                o[0] += w * in[2 * i];
+                o[1] += w * in[2 * i + 1];
+            }
         }
     }
 }

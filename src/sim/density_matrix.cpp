@@ -334,9 +334,7 @@ buildPasses(const std::vector<DmOp> &ops, size_t n, size_t size,
 {
     passes.clear();
     for (const DmOp &op : ops) {
-        passes.push_back(op.kind == DmOpKind::Super1q
-                             ? quadPass(op.s0, op.q0, n)
-                             : pairPass(op, n));
+        passes.push_back(streamPass(op, n));
         simd::planPass(passes.back(), size);
     }
 }
@@ -457,10 +455,24 @@ permuteX(PairPerm perm, uint64_t x, uint64_t a, uint64_t b)
     }
 }
 
-/** Passes whose groups cover at least kWholeNum / kWholeDen of them run
- *  whole: the skipped rest would not pay for the split. (8q NISQ H2O
- *  runs 0.73 of the pass work at 15/16; at 3/4 it ran 0.82 and gained
- *  nothing on the all-slices plan.) */
+/** The one input x bit that output x bit @p v of a qubit reads through
+ *  a PTM with deps @p d, not counting input x bit 1 when the qubit's
+ *  bit is known zero; -1 when it reads both or neither. */
+int
+oneSource(const SliceDeps &d, uint64_t v, bool known_zero)
+{
+    const bool keep = d.keep[v] && !(known_zero && v == 1);
+    const bool cross = d.cross[v] && !(known_zero && v == 0);
+    if (keep == cross)
+        return -1;
+    return keep ? static_cast<int>(v) : static_cast<int>(1 - v);
+}
+
+/** Passes whose planned work (in members) is at least kWholeNum /
+ *  kWholeDen of their whole work run whole: the skipped rest would not
+ *  pay for the split. (8q NISQ H2O runs 0.50 of the pass work at
+ *  15/16; with whole groups it ran 0.73, and at 3/4 it ran 0.82 and
+ *  gained nothing on the all-slices plan.) */
 constexpr size_t kWholeNum = 15, kWholeDen = 16;
 
 /**
@@ -471,24 +483,29 @@ constexpr size_t kWholeNum = 15, kWholeDen = 16;
  * in every slice (zero_x): a qubit's bit stays zero until a PTM block
  * {I, Z} -> {X, Y} on it, a CX from a qubit whose bit is set, or a
  * Swap with one. A backward walk from sp.want then gives, per op, the
- * slices it must output; their groups (the slices that differ in the op's x bits)
- * run, as ascending chunk ranges, and the op's input slices are those
- * its PTM blocks and x map read, minus the known-zero ones. Reading a
- * slice outside the plan only ever happens times an exact zero
- * coefficient, or for a slice that is zero in every run.
+ * slices it must output: the members (see simd::PauliPass) of its
+ * groups (the slices that differ in the op's x bits). The op's input
+ * slices are those its PTM blocks and x map read, minus the known-zero
+ * ones. A group whose needed members each read one input member runs
+ * only those members, from that member (src); any other needed group
+ * runs whole. Groups run as ascending chunk ranges of one member mask.
+ * Reading a slice outside the plan only ever happens times an exact
+ * zero coefficient, or for a slice that is zero in every run; a member
+ * run drops exactly those terms.
  *
  * Fills @p sp (a DensityMatrix::SlicePlan): ranges from sp.want, and
- * in sp.touched every slice a planned pass reads or writes, which the
- * run must first reset to |0..0>'s values. O(ops x slices) bit work.
+ * in sp.touched every slice of a planned group, which the run must
+ * first reset to |0..0>'s values; and src in @p passes. O(ops x
+ * slices) bit work.
  */
 template <class Plan>
 void
-planSlices(const std::vector<DmOp> &ops,
-           const std::vector<simd::PauliPass> &passes, size_t n, Plan &sp)
+planSlices(const std::vector<DmOp> &ops, std::vector<simd::PauliPass> &passes,
+           size_t n, Plan &sp)
 {
     std::vector<uint64_t> &zero_x = sp.zero_x, &touched = sp.touched;
     std::vector<uint64_t> &cur = sp.cur, &next = sp.next;
-    std::vector<uint64_t> &group_bits = sp.groups;
+    std::vector<uint8_t> &group_members = sp.groups;
     simd::StreamRanges &plan = sp.ranges;
     const size_t m = ops.size();
     const uint64_t all_x = (uint64_t{1} << n) - 1;
@@ -521,51 +538,82 @@ planSlices(const std::vector<DmOp> &ops,
     plan.first.assign(m + 1, 0);
     for (size_t i = m; i-- > 0;) {
         const DmOp &op = ops[i];
-        const simd::PauliPass &pass = passes[i];
+        simd::PauliPass &pass = passes[i];
         const bool pair = op.kind == DmOpKind::Pair2q;
         const uint64_t a = op.q0, b = op.q1;
         const uint64_t lo = pair ? std::min(a, b) : a;
         const uint64_t hi = pair ? std::max(a, b) : a;
         const size_t groups = size_t{1} << (n - (pair ? 2 : 1));
+        const unsigned all_members = pair ? 15 : 3;
+        const size_t n_members = pair ? 4 : 2;
         const auto [da, db] = ptmDeps(op);
         const uint64_t zero_in = zero_x[i];
 
-        // The needed groups, then their runs as ascending chunk ranges.
-        group_bits.assign((groups + 63) / 64, 0);
+        // The members that read one input member, and that member.
+        bool single[4] = {};
+        for (unsigned o = 0; o < n_members; ++o) {
+            const uint64_t va = pair ? o >> 1 : o, vb = o & 1;
+            const int sa = oneSource(da, va, (zero_in >> a) & 1);
+            const int sb = pair ? oneSource(db, vb, (zero_in >> b) & 1) : 0;
+            single[o] = sa >= 0 && sb >= 0;
+            if (single[o])
+                pass.src[o] = static_cast<uint8_t>(pair ? 2 * sa + sb : sa);
+        }
+
+        // The needed members of each group: member o of group g is the
+        // output slice whose input-side x (before the x map) has bits
+        // o at (a, b).
+        group_members.assign(groups, 0);
         std::fill(next.begin(), next.end(), 0);
         const auto read = [&](uint64_t y) {
             if ((y & zero_in) == 0)
                 setBit(next, y);
         };
         forEachBit(cur, [&](uint64_t x) {
-            setBit(group_bits,
-                   pair ? dropBit(dropBit(x, hi), lo) : dropBit(x, a));
+            const uint64_t y = pair ? permuteX(op.perm, x, a, b) : x;
+            const uint64_t o =
+                pair ? 2 * ((y >> a) & 1) + ((y >> b) & 1) : (x >> a) & 1;
+            group_members[pair ? dropBit(dropBit(x, hi), lo) : dropBit(x, a)] |=
+                static_cast<uint8_t>(1u << o);
             if (!pair)
                 forSliceDeps(x, a, da, read);
             else
-                forSliceDeps(permuteX(op.perm, x, a, b), b, db,
-                             [&](uint64_t y) { forSliceDeps(y, a, da, read); });
+                forSliceDeps(y, b, db,
+                             [&](uint64_t z) { forSliceDeps(z, a, da, read); });
         });
         std::swap(cur, next);
 
+        // Each needed group's range mask (0: the whole group) and the
+        // work it runs, in members.
+        size_t work = 0;
         const size_t first = plan.ranges.size();
-        size_t count = 0;
-        forEachBit(group_bits, [&](uint64_t g) {
-            ++count;
-            if (plan.ranges.size() > first && plan.ranges.back().c1 == g)
+        for (size_t g = 0; g < groups; ++g) {
+            unsigned mask = group_members[g];
+            if (mask == 0)
+                continue;
+            for (unsigned o = 0; o < n_members; ++o)
+                if ((mask >> o & 1) && !single[o])
+                    mask = all_members;
+            work += static_cast<size_t>(std::popcount(mask));
+            const auto members =
+                static_cast<uint8_t>(mask == all_members ? 0 : mask);
+            if (plan.ranges.size() > first && plan.ranges.back().c1 == g &&
+                plan.ranges.back().members == members)
                 ++plan.ranges.back().c1;
             else
-                plan.ranges.push_back({g, g + 1});
-        });
+                plan.ranges.push_back({g, g + 1, members});
+        }
         const size_t per_group = pass.chunks / groups;
         if (per_group == 0 || pass.chunks % groups != 0 ||
-            count * kWholeDen >= groups * kWholeNum) {
+            work * kWholeDen >= groups * n_members * kWholeNum) {
             plan.ranges.resize(first);
-            plan.ranges.push_back({0, pass.chunks});
+            plan.ranges.push_back({0, pass.chunks, 0});
             touched_all = true;
         } else {
             const uint64_t bl = uint64_t{1} << lo, bh = uint64_t{1} << hi;
-            forEachBit(group_bits, [&](uint64_t g) {
+            for (size_t g = 0; g < groups; ++g) {
+                if (group_members[g] == 0)
+                    continue;
                 const uint64_t x = simd::detail::insertZeroBit(g, lo);
                 const uint64_t x0 =
                     pair ? simd::detail::insertZeroBit(x, hi) : x;
@@ -575,7 +623,7 @@ planSlices(const std::vector<DmOp> &ops,
                     setBit(touched, x0 | bh);
                     setBit(touched, x0 | bl | bh);
                 }
-            });
+            }
             for (size_t k = first; k < plan.ranges.size(); ++k) {
                 plan.ranges[k].c0 *= per_group;
                 plan.ranges[k].c1 *= per_group;
@@ -613,6 +661,13 @@ coefficientOf(const PauliString &p, size_t n)
 }
 
 } // namespace
+
+simd::PauliPass
+streamPass(const DmOp &op, size_t n)
+{
+    return op.kind == DmOpKind::Super1q ? quadPass(op.s0, op.q0, n)
+                                        : pairPass(op, n);
+}
 
 DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
 {

@@ -13,7 +13,7 @@
  * doubles, and every stream op keeps slices apart: CX/CZ/Swap map x
  * linearly, and a PTM that keeps {I, Z} and {X, Y} apart keeps x_q. A
  * stream prepared from |0..0> therefore runs lazily: each query
- * executes only the slice groups that the slices it reads depend on
+ * executes only the slices that the slices it reads depend on
  * (see DensityMatrix::prepare).
  */
 
@@ -125,6 +125,10 @@ struct DmOp
     Ptm s1{};
 };
 
+/** The stream kernel pass of @p op on @p n qubits, before
+ *  simd::planPass chooses its path; throws on a bad qubit or depol. */
+simd::PauliPass streamPass(const DmOp &op, size_t n);
+
 /**
  * Density operator on n qubits (n <= 13 supported; memory is 8 * 4^n
  * bytes). Index convention: data[(x << n) | z] = Tr(sigma(x, z) rho),
@@ -176,13 +180,17 @@ class DensityMatrix
      * Reset to |0..0><0..0| and hold @p stream unexecuted. Each query
      * below then runs it from |0..0> over only the x slices the
      * coefficients it reads depend on: a backward walk from those
-     * slices marks, per op, the 2- or 4-slice groups to run, and the
-     * groups run through the same kernels as a full execution, so the
-     * values read are the full stream's bits. A qubit's x bit is zero
-     * until an op can set it, so its first PTM reads only x_q = 0.
-     * Every slice a run touches is first reset to |0..0>'s value, and
-     * slices a query already read stay valid until the next prepare; a
-     * query that needs more after that runs every slice.
+     * slices marks, per op, the slices (members) of its 2- or 4-slice
+     * groups it must output. A member that reads one input member runs
+     * alone, with the full kernel's products of that member's terms;
+     * any other needed group runs whole through the full execution's
+     * kernels. The terms a member run drops are exact zeros, so the
+     * values read are the full stream's (up to the sign of an exact
+     * zero). A qubit's x bit is zero until an op can set it, so its
+     * first PTM reads only x_q = 0. Every slice of a planned group is
+     * first reset to |0..0>'s value, and slices a query already read
+     * stay valid until the next prepare; a query that needs more after
+     * that runs every slice.
      * The const queries therefore write the state: use one
      * DensityMatrix per thread.
      */
@@ -274,7 +282,8 @@ class DensityMatrix
     /** Slice planning buffers, kept to reuse their capacity. */
     struct SlicePlan
     {
-        Slices want, touched, cur, next, groups;
+        Slices want, touched, cur, next;
+        std::vector<uint8_t> groups;  ///< per group: its needed members
         std::vector<uint64_t> zero_x; ///< per op: qubits whose x bit is 0
         simd::StreamRanges ranges;
     };

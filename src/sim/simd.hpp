@@ -247,6 +247,7 @@ forSlices(size_t n_chunks, bool parallel, Fn &&fn,
     }
 #else
     (void)parallel;
+    (void)amps_per_chunk;
 #endif
     fn(0, n_chunks);
 }
@@ -1143,16 +1144,13 @@ sweepSliced(size_t dim, size_t lanes, bool parallel, cd *out,
         dim >= kSweepSlices * kLanes * 2 ? kSweepSlices : 1;
     cd partial[kSweepSlices][4];
     const size_t len = dim / nslices;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (                               \
-        parallel && nslices > 1 && dim >= kParallelGrainAmps)
-#endif
-    for (int64_t s = 0; s < static_cast<int64_t>(nslices); ++s)
-        slice(static_cast<uint64_t>(s) * len, len,
-              partial[static_cast<size_t>(s)]);
-#ifndef _OPENMP
-    (void)parallel;
-#endif
+    forSlices(
+        nslices, parallel && nslices > 1,
+        [&](size_t s0, size_t s1) {
+            for (size_t s = s0; s < s1; ++s)
+                slice(s * len, len, partial[s]);
+        },
+        len);
     for (size_t k = 0; k < lanes; ++k) {
         double re = 0.0, im = 0.0;
         for (size_t s = 0; s < nslices; ++s) {
@@ -1311,6 +1309,12 @@ struct LaneQuad
  * qubit b (bits 4 and 1 of k) when pre_b, then element k is written
  * at offset to[k] times fac[k].
  *
+ * Members: the elements of a group that share their x bits. A Quad
+ * has 2 (member bit_hi: its elements over bit_lo), a Pair 4 (member
+ * k >> 2 = 2 x_a + x_b: its elements over z_a, z_b). A member run
+ * computes member o of each group from member src[o] alone (see
+ * runMembers); a Pair writes it where the permutation maps it.
+ *
  * planPass() chooses the kernel and fills the fields below path.
  */
 struct PauliPass
@@ -1336,6 +1340,7 @@ struct PauliPass
     double fac[16] = {};
     bool pre_a = false, pre_b = false;
     double ma[16] = {}, mb[16] = {};
+    uint8_t src[4] = {}; ///< source member of each member (member runs)
 
     Path path = Path::Scalar;
     size_t chunks = 0; ///< work units of the chosen path
@@ -1449,6 +1454,91 @@ pairPassScalar(double *d, size_t g0, size_t g1, const PauliPass &p)
 #pragma GCC unroll 16
         for (int e = 0; e < 16; ++e)
             base[to[e]] = v[e] * fac[e];
+    }
+}
+
+// Member runs: member o of each group from member s = src[o] alone.
+// Every other member's terms are exact zeros there (a zero PTM block
+// or a known-zero input), so each output keeps the group kernel's
+// products of member s's columns, in their order, and drops the rest.
+
+/** Rows 2o and 2o + 1 of quad matrix @p m from the columns of source
+ *  x = s: quadScalar's products of those columns, in order. */
+inline void
+halfQuad(double &y0, double &y1, double x0, double x1, const double *m,
+         unsigned o, unsigned s)
+{
+    const double *r = m + 8 * o + 2 * s;
+    y0 = r[0] * x0 + r[1] * x1;
+    y1 = r[4] * x0 + r[5] * x1;
+}
+
+/** Scalar member run of a Quad pass over quads [t0, t1). */
+inline void
+quadMembersScalar(double *d, size_t t0, size_t t1, const PauliPass &p,
+                  unsigned members)
+{
+    double m[16];
+    std::copy(std::begin(p.ma), std::end(p.ma), m);
+    const uint64_t lo = p.lo, hi = p.hi;
+    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
+    const uint64_t off[4] = {0, l, h, h | l};
+    const unsigned src[2] = {p.src[0], p.src[1]};
+    double y[4] = {};
+    for (size_t t = t0; t < t1; ++t) {
+        double *q = d + insertZeroBit(insertZeroBit(t, lo), hi);
+        for (unsigned o = 0; o < 2; ++o)
+            if (members >> o & 1)
+                halfQuad(y[2 * o], y[2 * o + 1], q[off[2 * src[o]]],
+                         q[off[2 * src[o] + 1]], m, o, src[o]);
+        for (unsigned o = 0; o < 2; ++o)
+            if (members >> o & 1) {
+                q[off[2 * o]] = y[2 * o];
+                q[off[2 * o + 1]] = y[2 * o + 1];
+            }
+    }
+}
+
+/** Scalar member run of a Pair pass over groups [g0, g1): member o's
+ *  elements 2 z_a + z_b come from member s's through pre_a on z_a, then
+ *  pre_b on z_b, and are written as the group kernel writes them. */
+inline void
+pairMembersScalar(double *d, size_t g0, size_t g1, const PauliPass &p,
+                  unsigned members)
+{
+    double ma[16], mb[16], fac[16];
+    uint64_t from[16], to[16], pos[4];
+    std::copy(std::begin(p.ma), std::end(p.ma), ma);
+    std::copy(std::begin(p.mb), std::end(p.mb), mb);
+    std::copy(std::begin(p.fac), std::end(p.fac), fac);
+    std::copy(std::begin(p.from), std::end(p.from), from);
+    std::copy(std::begin(p.to), std::end(p.to), to);
+    std::copy(std::begin(p.pos), std::end(p.pos), pos);
+    const unsigned src[4] = {p.src[0], p.src[1], p.src[2], p.src[3]};
+    const bool pre_a = p.pre_a, pre_b = p.pre_b;
+    double v[4][4];
+    for (size_t g = g0; g < g1; ++g) {
+        double *base = d + pairGroupBase(g, pos);
+        for (unsigned o = 0; o < 4; ++o) {
+            if (!(members >> o & 1))
+                continue;
+            const unsigned s = src[o];
+            double *x = v[o];
+            for (unsigned e = 0; e < 4; ++e)
+                x[e] = base[from[4 * s + e]];
+            if (pre_a)
+                for (unsigned zb = 0; zb < 2; ++zb)
+                    halfQuad(x[zb], x[2 + zb], x[zb], x[2 + zb], ma, o >> 1,
+                             s >> 1);
+            if (pre_b)
+                for (unsigned za = 0; za < 2; ++za)
+                    halfQuad(x[2 * za], x[2 * za + 1], x[2 * za],
+                             x[2 * za + 1], mb, o & 1, s & 1);
+        }
+        for (unsigned o = 0; o < 4; ++o)
+            if (members >> o & 1)
+                for (unsigned e = 0; e < 4; ++e)
+                    base[to[4 * o + e]] = v[o][e] * fac[4 * o + e];
     }
 }
 
@@ -1633,6 +1723,26 @@ rquadLanes(RVec &a, RVec &b, const RVec *pat, RIdx lo, RIdx hi)
              rmul(pat[7], b1));
 }
 
+/** halfQuad on vectors. */
+EFTVQA_SIMD_TARGET inline void
+rhalfQuad(RVec &y0, RVec &y1, RVec x0, RVec x1, const RVec *m, unsigned o,
+          unsigned s)
+{
+    const RVec *r = m + 8 * o + 2 * s;
+    y0 = radd(rmul(r[0], x0), rmul(r[1], x1));
+    y1 = radd(rmul(r[4], x0), rmul(r[5], x1));
+}
+
+/** rquadLanes' output vector for x = o from the lanes of the source
+ *  vector @p v of x = s alone. */
+EFTVQA_SIMD_TARGET inline RVec
+rhalfQuadLanes(RVec v, const RVec *pat, RIdx lo, RIdx hi, unsigned o,
+               unsigned s)
+{
+    const RVec *r = pat + 4 * o + 2 * s;
+    return radd(rmul(r[0], rperm(v, lo)), rmul(r[1], rperm(v, hi)));
+}
+
 /** Quad pass, both bits at or above the lane width: chunk c holds
  *  quads [c kRealLanes, (c + 1) kRealLanes). */
 EFTVQA_SIMD_TARGET inline void
@@ -1789,6 +1899,134 @@ kernPairLanes(double *d, size_t c0, size_t c1, const PauliPass &pp)
     }
 }
 
+/** Member run of a Quad pass on the Vector (kLow = false) or Lanes
+ *  (kLow: the low bit inside a vector) path: the units of
+ *  kernQuadVector / kernQuadLanes. */
+template <bool kLow>
+EFTVQA_SIMD_TARGET inline void
+kernQuadMembers(double *d, size_t c0, size_t c1, const PauliPass &p,
+                unsigned members)
+{
+    RVec m[16], pat[8];
+    for (int e = 0; e < 16; ++e)
+        m[e] = rset1(p.ma[e]);
+    for (int k = 0; k < 8; ++k)
+        pat[k] = rload(p.a.pat[k]);
+    const RIdx dlo = ridx(p.a.dup_lo), dhi = ridx(p.a.dup_hi);
+    const uint64_t lo = p.lo, hi = p.hi;
+    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
+    const uint64_t off[4] = {0, l, h, h | l};
+    const unsigned src[2] = {p.src[0], p.src[1]};
+    RVec y[4];
+    for (size_t c = c0; c < c1; ++c) {
+        double *q = kLow ? d + insertZeroBit(c * kRealLanes, hi)
+                         : d + insertZeroBit(insertZeroBit(c * kRealLanes, lo),
+                                             hi);
+        for (unsigned o = 0; o < 2; ++o) {
+            if (!(members >> o & 1))
+                continue;
+            const unsigned s = src[o];
+            if (kLow)
+                y[2 * o] = rhalfQuadLanes(rload(q + off[2 * s]), pat, dlo,
+                                          dhi, o, s);
+            else
+                rhalfQuad(y[2 * o], y[2 * o + 1], rload(q + off[2 * s]),
+                          rload(q + off[2 * s + 1]), m, o, s);
+        }
+        for (unsigned o = 0; o < 2; ++o) {
+            if (!(members >> o & 1))
+                continue;
+            rstore(q + off[2 * o], y[2 * o]);
+            if (!kLow)
+                rstore(q + off[2 * o + 1], y[2 * o + 1]);
+        }
+    }
+}
+
+/** Member run of a Pair pass on the Vector path (kLaneK = 0) or the
+ *  Lanes path with in-lane z bits kLaneK: the units of kernPairVector /
+ *  kernPairLanes. A member is 4 vectors (z_a, z_b), 2 (the z bit
+ *  outside the lanes) or 1. */
+template <unsigned kLaneK>
+EFTVQA_SIMD_TARGET inline void
+kernPairMembers(double *d, size_t c0, size_t c1, const PauliPass &pp,
+                unsigned members)
+{
+    constexpr unsigned kPer = 4u >> std::popcount(kLaneK);
+    constexpr bool kA = kLaneK & 2, kB = kLaneK & 1;
+    const PauliPass p = pp; // locals: the stores below cannot alias it
+    RVec ma[16], mb[16], pa[8], pb[8], f[16];
+    RIdx perm[16];
+    for (int e = 0; e < 16; ++e) {
+        ma[e] = rset1(p.ma[e]);
+        mb[e] = rset1(p.mb[e]);
+    }
+    for (int k = 0; k < 8; ++k) {
+        pa[k] = rload(p.a.pat[k]);
+        pb[k] = rload(p.b.pat[k]);
+    }
+    const RIdx alo = ridx(p.a.dup_lo), ahi = ridx(p.a.dup_hi);
+    const RIdx blo = ridx(p.b.dup_lo), bhi = ridx(p.b.dup_hi);
+    // Vector j of member o is element 4 o + j on the Vector path and
+    // Lanes vector kPer o + j (see laneVector) otherwise.
+    const uint64_t *vfrom = kLaneK ? p.vfrom : p.from;
+    const uint64_t *vto = kLaneK ? p.vto : p.to;
+    for (unsigned j = 0; j < 4 * kPer; ++j) {
+        f[j] = kLaneK ? rload(p.fpat[j]) : rset1(p.fac[j]);
+        perm[j] = ridx(p.perm[j]);
+    }
+    const size_t width = kLaneK ? p.groups : kRealLanes;
+    RVec w[4][kPer];
+    for (size_t c = c0; c < c1; ++c) {
+        double *base = d + pairGroupBase(c * width, p.pos);
+        for (unsigned o = 0; o < 4; ++o) {
+            if (!(members >> o & 1))
+                continue;
+            const unsigned s = p.src[o];
+            RVec *x = w[o];
+            for (unsigned j = 0; j < kPer; ++j)
+                x[j] = rload(base + vfrom[kPer * s + j]);
+            if (p.pre_a) {
+                if constexpr (kA) {
+                    for (unsigned j = 0; j < kPer; ++j)
+                        x[j] = rhalfQuadLanes(x[j], pa, alo, ahi, o >> 1,
+                                              s >> 1);
+                } else {
+                    // z_a is the member's vector bit kPer / 2.
+                    constexpr unsigned kZa = kPer / 2;
+                    for (unsigned j = 0; j < kZa; ++j)
+                        rhalfQuad(x[j], x[j + kZa], x[j], x[j + kZa], ma,
+                                  o >> 1, s >> 1);
+                }
+            }
+            if (p.pre_b) {
+                if constexpr (kB) {
+                    for (unsigned j = 0; j < kPer; ++j)
+                        x[j] = rhalfQuadLanes(x[j], pb, blo, bhi, o & 1,
+                                              s & 1);
+                } else {
+                    // z_b is the member's vector bit 0.
+                    for (unsigned j = 0; j < kPer; j += 2)
+                        rhalfQuad(x[j], x[j + 1], x[j], x[j + 1], mb, o & 1,
+                                  s & 1);
+                }
+            }
+            for (unsigned j = 0; j < kPer; ++j)
+                x[j] = rmul(x[j], f[kPer * o + j]);
+        }
+        for (unsigned o = 0; o < 4; ++o) {
+            if (!(members >> o & 1))
+                continue;
+            for (unsigned j = 0; j < kPer; ++j) {
+                const unsigned v = kPer * o + j;
+                rstore(base + vto[v], kLaneK && p.permuted[v]
+                                          ? rperm(w[o][j], perm[v])
+                                          : w[o][j]);
+            }
+        }
+    }
+}
+
 #endif // EFTVQA_SIMD_VECTOR
 
 /** Fill @p s for a quad of matrix @p m whose low bit is lane bit
@@ -1858,10 +2096,44 @@ planPairLanes(PauliPass &p, size_t size)
     return true;
 }
 
-/** Run pass @p p over its work units [c0, c1). */
+/** Member run of pass @p p over its work units [c0, c1): only the
+ *  members in the mask @p members, each from its src member. */
 inline void
-runPass(double *d, const PauliPass &p, size_t c0, size_t c1)
+runMembers(double *d, const PauliPass &p, size_t c0, size_t c1,
+           unsigned members)
 {
+    const bool quad = p.kind == PauliPass::Kind::Quad;
+#if defined(EFTVQA_SIMD_VECTOR)
+    using Path = PauliPass::Path;
+    if (p.path == Path::Vector) {
+        quad ? kernQuadMembers<false>(d, c0, c1, p, members)
+             : kernPairMembers<0>(d, c0, c1, p, members);
+        return;
+    }
+    if (p.path == Path::Lanes) {
+        if (quad)
+            kernQuadMembers<true>(d, c0, c1, p, members);
+        else if (p.lane_k == 1)
+            kernPairMembers<1>(d, c0, c1, p, members);
+        else if (p.lane_k == 2)
+            kernPairMembers<2>(d, c0, c1, p, members);
+        else
+            kernPairMembers<3>(d, c0, c1, p, members);
+        return;
+    }
+#endif
+    quad ? quadMembersScalar(d, c0, c1, p, members)
+         : pairMembersScalar(d, c0, c1, p, members);
+}
+
+/** Run pass @p p over its work units [c0, c1): every member of each
+ *  group when @p members is 0, else the member run of that mask. */
+inline void
+runPass(double *d, const PauliPass &p, size_t c0, size_t c1,
+        unsigned members = 0)
+{
+    if (members != 0)
+        return runMembers(d, p, c0, c1, members);
     const bool quad = p.kind == PauliPass::Kind::Quad;
 #if defined(EFTVQA_SIMD_VECTOR)
     using Path = PauliPass::Path;
@@ -1924,16 +2196,18 @@ planPass(PauliPass &p, size_t size)
     }
 }
 
-/** Work units [c0, c1) of one pass (see PauliPass::chunks). */
+/** Work units [c0, c1) of one pass (see PauliPass::chunks), each over
+ *  every member of its groups (members = 0) or over a member mask. */
 struct PassRange
 {
     size_t c0 = 0, c1 = 0;
+    uint8_t members = 0;
 };
 
 /**
  * The work units each pass of a stream runs: pass i runs ranges
  * [first[i], first[i + 1]), ascending and disjoint. A pass that runs
- * whole has the one range [0, chunks).
+ * whole has the one range [0, chunks) over every member.
  */
 struct StreamRanges
 {
@@ -1951,7 +2225,8 @@ runRanges(double *d, const PauliPass &p, const PassRange *r,
     for (; r != end && u0 < u1; ++r) {
         const size_t len = r->c1 - r->c0;
         if (u0 < len)
-            runPass(d, p, r->c0 + u0, r->c0 + std::min(u1, len));
+            runPass(d, p, r->c0 + u0, r->c0 + std::min(u1, len),
+                    r->members);
         u0 = u0 > len ? u0 - len : 0;
         u1 = u1 > len ? u1 - len : 0;
     }

@@ -48,6 +48,19 @@ using Cd = std::complex<double>;
 // loop — the two are bit-identical (see sim/simd.hpp).                //
 // ------------------------------------------------------------------ //
 
+/** fn(i) for every i in [0, n), in contiguous slices across the
+ *  OpenMP team when @p parallel and n clears the fork grain, else one
+ *  plain loop that stays out of the OpenMP runtime. */
+template <class Fn>
+void
+forAmps(size_t n, bool parallel, Fn &&fn)
+{
+    simd::detail::forSlices(n, parallel, [&](size_t i0, size_t i1) {
+        for (size_t i = i0; i < i1; ++i)
+            fn(i);
+    }, 1);
+}
+
 void
 svApply1q(Cd *data, size_t span, size_t stride, const Mat2 &u,
           bool parallel)
@@ -55,18 +68,14 @@ svApply1q(Cd *data, size_t span, size_t stride, const Mat2 &u,
     if (simd::tryApply1q(data, span, stride, u, parallel))
         return;
     const size_t half = span / 2;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && half >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(half); ++st) {
-        const auto t = static_cast<size_t>(st);
+    forAmps(half, parallel, [&](size_t t) {
         const size_t i0 = ((t & ~(stride - 1)) << 1) | (t & (stride - 1));
         const size_t i1 = i0 + stride;
         const Cd a = data[i0];
         const Cd b = data[i1];
         data[i0] = u[0] * a + u[1] * b;
         data[i1] = u[2] * a + u[3] * b;
-    }
+    });
 }
 
 void
@@ -80,13 +89,8 @@ svApply2q(Cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
     const uint64_t plow = std::min(qa, qb);
     const uint64_t phigh = std::max(qa, qb);
     const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i00 =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh);
+    forAmps(quarter, parallel, [&](uint64_t t) {
+        const uint64_t i00 = insertZeroBit(insertZeroBit(t, plow), phigh);
         const uint64_t i01 = i00 | mb;
         const uint64_t i10 = i00 | ma;
         const uint64_t i11 = i00 | ma | mb;
@@ -98,7 +102,7 @@ svApply2q(Cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
         data[i01] = u[4] * v0 + u[5] * v1 + u[6] * v2 + u[7] * v3;
         data[i10] = u[8] * v0 + u[9] * v1 + u[10] * v2 + u[11] * v3;
         data[i11] = u[12] * v0 + u[13] * v1 + u[14] * v2 + u[15] * v3;
-    }
+    });
 }
 
 void
@@ -110,16 +114,10 @@ svApplyCXRange(Cd *data, size_t span, size_t control, size_t target,
     const uint64_t plow = std::min(control, target);
     const uint64_t phigh = std::max(control, target);
     const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            cmask;
+    forAmps(quarter, parallel, [&](uint64_t t) {
+        const uint64_t i = insertZeroBit(insertZeroBit(t, plow), phigh) | cmask;
         std::swap(data[i], data[i | tmask]);
-    }
+    });
 }
 
 void
@@ -131,16 +129,10 @@ svApplySwapRange(Cd *data, size_t span, size_t a, size_t b,
     const uint64_t plow = std::min(a, b);
     const uint64_t phigh = std::max(a, b);
     const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            am;
+    forAmps(quarter, parallel, [&](uint64_t t) {
+        const uint64_t i = insertZeroBit(insertZeroBit(t, plow), phigh) | am;
         std::swap(data[i], data[i ^ am ^ bm]);
-    }
+    });
 }
 
 void
@@ -156,12 +148,9 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
             if (simd::tryDiagMask(data, span, base, table, mask,
                                   parallel))
                 return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
-#endif
-            for (int64_t si = 0; si < static_cast<int64_t>(span); ++si)
-                data[static_cast<size_t>(si)] *=
-                    table[(base + static_cast<uint64_t>(si)) & mask];
+            forAmps(span, parallel, [&](uint64_t i) {
+                data[i] *= table[(base + i) & mask];
+            });
             return;
         }
         const uint32_t *qs = d.qubits.data();
@@ -169,24 +158,18 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
         if (simd::tryDiagGather(data, span, base, table, qs, k,
                                 parallel))
             return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
-#endif
-        for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-            const uint64_t i = base + static_cast<uint64_t>(si);
+        forAmps(span, parallel, [&](uint64_t si) {
+            const uint64_t i = base + si;
             uint64_t idx = 0;
             for (size_t j = 0; j < k; ++j)
                 idx |= ((i >> qs[j]) & 1) << j;
-            data[static_cast<size_t>(si)] *= table[idx];
-        }
+            data[si] *= table[idx];
+        });
         return;
     }
     // Too many participating qubits to table: per-qubit factor product.
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-        const uint64_t i = base + static_cast<uint64_t>(si);
+    forAmps(span, parallel, [&](uint64_t si) {
+        const uint64_t i = base + si;
         Cd phase = d.global;
         for (const auto &[q, r] : d.factors)
             if ((i >> q) & 1)
@@ -194,8 +177,8 @@ svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
         for (const uint64_t m : d.cz_masks)
             if ((i & m) == m)
                 phase = -phase;
-        data[static_cast<size_t>(si)] *= phase;
-    }
+        data[si] *= phase;
+    });
 }
 
 /** |i> -> |i ^ f> with f < span (pairs stay inside the range). */
@@ -204,15 +187,11 @@ svApplyXorMask(Cd *data, size_t span, uint64_t f, bool parallel)
 {
     if (simd::tryXorMask(data, span, f, parallel))
         return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-        const auto i = static_cast<uint64_t>(si);
+    forAmps(span, parallel, [&](uint64_t i) {
         const uint64_t j = i ^ f;
         if (i < j)
             std::swap(data[i], data[j]);
-    }
+    });
 }
 
 } // namespace
@@ -265,17 +244,10 @@ Statevector::applyCZ(size_t a, size_t b)
     const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
     const uint64_t plow = std::min(a, b);
     const uint64_t phigh = std::max(a, b);
-    const size_t quarter = data_.size() / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (quarter >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            mask;
+    forAmps(data_.size() / 4, true, [&](uint64_t t) {
+        const uint64_t i = insertZeroBit(insertZeroBit(t, plow), phigh) | mask;
         data_[i] = -data_[i];
-    }
+    });
 }
 
 void
@@ -327,17 +299,14 @@ Statevector::applyGf2Perm(const Gf2PermOp &p)
     const uint64_t f = p.flips;
     const uint64_t *inv = p.inv_rows.data();
     const size_t nb = p.inv_rows.size();
-#ifdef _OPENMP
-#pragma omp parallel for if (dim >= simd::kParallelGrainAmps)
-#endif
-    for (int64_t sy = 0; sy < static_cast<int64_t>(dim); ++sy) {
-        const uint64_t z = static_cast<uint64_t>(sy) ^ f;
+    forAmps(dim, true, [&](uint64_t y) {
+        const uint64_t z = y ^ f;
         uint64_t x = 0;
         for (size_t b = 0; b < nb; ++b)
             x |= static_cast<uint64_t>(std::popcount(z & inv[b]) & 1)
                  << b;
-        out[static_cast<size_t>(sy)] = in[x];
-    }
+        out[y] = in[x];
+    });
     data_.swap(scratch);
 }
 
@@ -478,17 +447,16 @@ Statevector::runCompiled(const CompiledCircuit &compiled)
         // instead of only between engine calls.
         cancelCheckpoint();
         if (use_blocks && seg.blocked) {
-            const auto nblocks = static_cast<int64_t>(dim / block);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (nblocks > 1)
-#endif
-            for (int64_t b = 0; b < nblocks; ++b) {
-                const uint64_t base =
-                    static_cast<uint64_t>(b) * block;
-                for (const uint32_t oi : seg.op_indices)
-                    execOp(ops[oi], data_.data() + base, block, base,
-                           false);
-            }
+            simd::detail::forSlices(
+                dim / block, true,
+                [&](size_t b0, size_t b1) {
+                    for (uint64_t base = b0 * block; base < b1 * block;
+                         base += block)
+                        for (const uint32_t oi : seg.op_indices)
+                            execOp(ops[oi], data_.data() + base, block,
+                                   base, false);
+                },
+                block);
         } else {
             for (const uint32_t oi : seg.op_indices)
                 execOp(ops[oi], data_.data(), dim, 0, true);

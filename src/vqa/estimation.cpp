@@ -78,6 +78,31 @@ allocateShotBudget(const std::vector<double> &weights, size_t total_budget)
 
 } // namespace detail
 
+namespace {
+
+/** fn(i) for every i in [0, n): dynamically scheduled across the
+ *  OpenMP team when @p fan_out, else one plain loop that stays out of
+ *  the OpenMP runtime. */
+template <class Fn>
+void
+forEachItem(size_t n, bool fan_out, Fn &&fn)
+{
+#ifdef _OPENMP
+    if (fan_out) {
+#pragma omp parallel for schedule(dynamic)
+        for (int64_t i = 0; i < static_cast<int64_t>(n); ++i)
+            fn(static_cast<size_t>(i));
+        return;
+    }
+#else
+    (void)fan_out;
+#endif
+    for (size_t i = 0; i < n; ++i)
+        fn(i);
+}
+
+} // namespace
+
 void
 EstimationConfig::validate() const
 {
@@ -436,11 +461,10 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
             omp_get_max_threads() > 1 &&
             work.size() >= static_cast<size_t>(omp_get_max_threads()) &&
             work.size() > 1;
-#pragma omp parallel for schedule(dynamic) if (fan_out)
+#else
+        const bool fan_out = false;
 #endif
-        for (int64_t wi = 0; wi < static_cast<int64_t>(work.size());
-             ++wi) {
-            const auto w = static_cast<size_t>(wi);
+        forEachItem(work.size(), fan_out, [&](size_t w) {
             try {
                 // Cloning is load-bearing in two cases: concurrent
                 // workers must not share one backend, and Monte-Carlo
@@ -449,11 +473,7 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
                 // neither — prepare() overwrites the state anyway, so
                 // skip the full-state copy.
                 std::unique_ptr<sim::Backend> clone;
-#ifdef _OPENMP
                 const bool reuse_parent = !fan_out && !monte_carlo_backend;
-#else
-                const bool reuse_parent = !monte_carlo_backend;
-#endif
                 if (!reuse_parent)
                     clone = parent.clone();
                 Rng shot_stream(shot_base ^ hashes[work[w]]);
@@ -468,7 +488,7 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
                 if (!error)
                     error = std::current_exception();
             }
-        }
+        });
         if (error)
             std::rethrow_exception(error);
 
@@ -586,12 +606,7 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
         base_gates = scratch.nGates();
         scratch.reserveGates(base_gates + 2 * ham_.nQubits());
     }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (fan_out)
-#endif
-    for (int64_t gii = 0; gii < static_cast<int64_t>(groups.size());
-         ++gii) {
-        const auto gi = static_cast<size_t>(gii);
+    forEachItem(groups.size(), fan_out, [&](size_t gi) {
         try {
             // Concurrent tasks must not share one backend, and
             // Monte-Carlo parents must be clone-replayed per group; a
@@ -625,7 +640,7 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
             if (!error)
                 error = std::current_exception();
         }
-    }
+    });
     if (error)
         std::rethrow_exception(error);
 

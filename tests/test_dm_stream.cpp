@@ -32,6 +32,7 @@
 #include <omp.h>
 #endif
 
+#include "ansatz/ansatz.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "ham/heisenberg.hpp"
@@ -41,6 +42,8 @@
 #include "sim/density_matrix.hpp"
 #include "sim/simd.hpp"
 #include "stabilizer/noisy_clifford.hpp"
+
+#include "thread_guard.hpp"
 
 using namespace eftvqa;
 
@@ -579,6 +582,108 @@ TEST(DmStream, PrunedRunsMatchTheFullStream)
                 }
         }
     EXPECT_GE(checked, 48u);
+}
+
+TEST(DmStream, MemberRunsMatchTheFullStream)
+{
+    // A pruned run computes only the needed members of each slice
+    // group when each reads one input member: after the prefix PTMs,
+    // every op of an FCHE ladder does. FCHE p = 1 and p = 2 ladders and
+    // random circuits with CX/CZ/Swap at 4-10 qubits, NISQ and pQEC,
+    // Ising/Heisenberg/random Hamiltonians, teams of 1 and
+    // manyThreads(), scalar and vector kernels: energies keep the full
+    // stream's bits, terms its values, and so do single-term and state
+    // queries after a member run.
+    const DmNoiseSpec specs[] = {nisqDmSpec(NisqParams{}),
+                                 pqecDmSpec(PqecParams{})};
+    ExecutionGuard guard;
+    size_t checked = 0;
+    for (const size_t n : {4u, 6u, 8u, 10u}) {
+        const int width = static_cast<int>(n);
+        const Hamiltonian hams[] = {isingHamiltonian(width, 0.8),
+                                    heisenbergHamiltonian(width, 1.0),
+                                    randomHamiltonian(n, n, 17 * n)};
+        std::vector<Circuit> circuits;
+        for (const int p : {1, 2}) {
+            if (n == 10 && p == 2)
+                continue;
+            const Circuit ansatz = fcheAnsatz(width, p);
+            Rng rng(40 * n + static_cast<uint64_t>(p));
+            std::vector<double> theta(ansatz.nParameters());
+            for (double &t : theta)
+                t = rng.uniform(-M_PI, M_PI);
+            circuits.push_back(ansatz.bind(theta));
+        }
+        if (n < 10)
+            circuits.push_back(randomNoisyCircuit(n, 6 * n, 5100 + n));
+        // At 10 qubits: the p = 1 ladder under NISQ noise only.
+        for (size_t c = 0; c < circuits.size(); ++c)
+            for (size_t s = 0; s < (n < 10 ? 2u : 1u); ++s) {
+                const std::vector<DmOp> ops =
+                    compileNoisyStream(circuits[c], specs[s]);
+                DensityMatrix full(n);
+                {
+                    ThreadGuard serial(1);
+                    full.execute(ops);
+                }
+                for (const int threads : {1, manyThreads()})
+                    for (const int simd_mode : {0, -1}) {
+                        // A forked run meets a barrier after every
+                        // pass, which a loaded host makes slow: below
+                        // 10 qubits the team of many runs the p = 1
+                        // ladder's vector kernels under NISQ noise.
+                        if (threads != 1 && n < 10 &&
+                            (simd_mode == 0 || s != 0 || c != 0))
+                            continue;
+                        ThreadGuard team(threads);
+                        simd::setSimdMode(simd_mode);
+                        const std::string where =
+                            "n=" + std::to_string(n) + " circuit " +
+                            std::to_string(c) + " spec " +
+                            std::to_string(s) + " threads " +
+                            std::to_string(threads) + " simd " +
+                            std::to_string(simd_mode);
+                        for (const Hamiltonian &h : hams) {
+                            // One pruned run; the batch reads the
+                            // slices it left valid.
+                            DensityMatrix rho(n);
+                            rho.prepare(ops);
+                            EXPECT_TRUE(sameBits(rho.expectation(h),
+                                                 full.expectation(h)))
+                                << where;
+                            const std::vector<double> got =
+                                rho.expectationBatch(h);
+                            const std::vector<double> want =
+                                full.expectationBatch(h);
+                            for (size_t k = 0; k < want.size(); ++k)
+                                EXPECT_TRUE(sameValue(got[k], want[k]))
+                                    << where << " term " << k;
+                            ++checked;
+                        }
+                        // State and single-term queries after a member
+                        // run, on a team of 1 (the purity and the second
+                        // new term run every slice once more).
+                        if (threads != 1 || n == 10)
+                            continue;
+                        DensityMatrix rho(n);
+                        rho.prepare(ops);
+                        rho.expectationBatch(hams[0]);
+                        EXPECT_TRUE(sameValue(rho.trace(), full.trace()))
+                            << where;
+                        EXPECT_TRUE(sameBits(rho.purity(), full.purity()))
+                            << where;
+                        const auto &terms = hams[1].terms();
+                        DensityMatrix one(n);
+                        one.prepare(ops);
+                        for (size_t k = 0; k < terms.size(); k += 3)
+                            EXPECT_TRUE(
+                                sameValue(one.expectation(terms[k].op),
+                                          full.expectation(terms[k].op)))
+                                << where << " single term " << k;
+                    }
+            }
+    }
+    EXPECT_GE(checked, 120u);
 }
 
 TEST(DmStream, NoStaleSliceReachesALaterRun)

@@ -365,6 +365,61 @@ TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
                   0)
             << "n=" << n;
         EXPECT_NEAR(vec.trace(), 1.0, 1e-12) << "n=" << n;
+
+        // Member runs: every op under every partial member mask, each
+        // member from a rotating source member, over random
+        // coefficients; the members outside the mask stay untouched.
+        const size_t size = size_t{1} << (2 * n);
+        simd::RealVector data(size);
+        for (size_t i = 0; i < size; ++i)
+            data[i] = std::sin(0.37 * static_cast<double>(i) + 0.1 * n);
+        for (size_t k = 0; k < ops.size(); ++k) {
+            const DmOp &op = ops[k];
+            const bool pair = op.kind == DmOpKind::Pair2q;
+            const unsigned members = pair ? 4 : 2;
+            simd::PauliPass scalar = streamPass(op, n);
+            simd::PauliPass vector = scalar;
+            {
+                SimdModeGuard off(0);
+                simd::planPass(scalar, size);
+            }
+            simd::planPass(vector, size);
+            for (unsigned mask = 1; mask + 1 < (1u << members); ++mask) {
+                for (unsigned o = 0; o < members; ++o)
+                    scalar.src[o] = vector.src[o] =
+                        static_cast<uint8_t>((o + mask + k) % members);
+                simd::RealVector ref = data, got = data;
+                simd::detail::runPass(ref.data(), scalar, 0, scalar.chunks,
+                                      mask);
+                simd::detail::runPass(got.data(), vector, 0, vector.chunks,
+                                      mask);
+                EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                      size * sizeof(double)),
+                          0)
+                    << "n=" << n << " op " << k << " mask " << mask;
+                // Output member of mask member o: its x bits through
+                // the op's Pauli permutation.
+                unsigned written = 0;
+                for (unsigned o = 0; o < members; ++o)
+                    if (mask >> o & 1)
+                        written |= 1u << (pair ? pairPauliImage(op.perm,
+                                                                4 * o).k >> 2
+                                               : o);
+                size_t outside = 0, kept = 0;
+                for (size_t i = 0; i < size; ++i) {
+                    const unsigned xa = (i >> (n + op.q0)) & 1;
+                    const unsigned out =
+                        pair ? 2 * xa + ((i >> (n + op.q1)) & 1) : xa;
+                    if (!(written >> out & 1)) {
+                        ++outside;
+                        kept += ref[i] == data[i];
+                    }
+                }
+                EXPECT_GT(outside, 0u);
+                EXPECT_EQ(kept, outside)
+                    << "n=" << n << " op " << k << " mask " << mask;
+            }
+        }
     }
 
     // The lane paths are the ones exercised above whenever a vector
