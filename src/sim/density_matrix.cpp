@@ -339,7 +339,7 @@ buildPasses(const std::vector<DmOp> &ops, size_t n, size_t size,
     }
 }
 
-/** Every pass over all of its work units. */
+/** Every member of every pass over all of its work units. */
 void
 planWhole(const std::vector<simd::PauliPass> &passes,
           simd::StreamRanges &plan)
@@ -348,7 +348,8 @@ planWhole(const std::vector<simd::PauliPass> &passes,
     plan.first.clear();
     for (const simd::PauliPass &p : passes) {
         plan.first.push_back(plan.ranges.size());
-        plan.ranges.push_back({0, p.chunks});
+        plan.ranges.push_back(
+            {0, p.chunks, static_cast<uint8_t>(p.allMembers())});
     }
     plan.first.push_back(plan.ranges.size());
 }
@@ -455,25 +456,30 @@ permuteX(PairPerm perm, uint64_t x, uint64_t a, uint64_t b)
     }
 }
 
-/** The one input x bit that output x bit @p v of a qubit reads through
- *  a PTM with deps @p d, not counting input x bit 1 when the qubit's
- *  bit is known zero; -1 when it reads both or neither. */
-int
-oneSource(const SliceDeps &d, uint64_t v, bool known_zero)
+/** The input x bits (bit s: x bit s) that output x bit @p v of a
+ *  qubit reads through a PTM with deps @p d, not counting x bit 1 when
+ *  the qubit's bit is known zero: both when that leaves both or none. */
+uint8_t
+sources(const SliceDeps &d, uint64_t v, bool known_zero)
 {
     const bool keep = d.keep[v] && !(known_zero && v == 1);
     const bool cross = d.cross[v] && !(known_zero && v == 0);
     if (keep == cross)
-        return -1;
-    return keep ? static_cast<int>(v) : static_cast<int>(1 - v);
+        return 3;
+    return static_cast<uint8_t>(1u << (keep ? v : 1 - v));
 }
 
-/** Passes whose planned work (in members) is at least kWholeNum /
- *  kWholeDen of their whole work run whole: the skipped rest would not
- *  pay for the split. (8q NISQ H2O runs 0.50 of the pass work at
- *  15/16; with whole groups it ran 0.73, and at 3/4 it ran 0.82 and
- *  gained nothing on the all-slices plan.) */
-constexpr size_t kWholeNum = 15, kWholeDen = 16;
+/** Set the sources (simd::PauliPass::src) of @p op's pass @p p from
+ *  its PTMs and the qubits whose x bit is known zero, @p zero. */
+void
+setSources(simd::PauliPass &p, const DmOp &op, uint64_t zero)
+{
+    const auto [da, db] = ptmDeps(op);
+    for (uint64_t v = 0; v < 2; ++v) {
+        p.src[0][v] = sources(da, v, (zero >> op.q0) & 1);
+        p.src[1][v] = sources(db, v, (zero >> op.q1) & 1);
+    }
+}
 
 /**
  * Plan a run of @p ops (kernels @p passes) from |0..0> that leaves the
@@ -486,17 +492,17 @@ constexpr size_t kWholeNum = 15, kWholeDen = 16;
  * slices it must output: the members (see simd::PauliPass) of its
  * groups (the slices that differ in the op's x bits). The op's input
  * slices are those its PTM blocks and x map read, minus the known-zero
- * ones. A group whose needed members each read one input member runs
- * only those members, from that member (src); any other needed group
- * runs whole. Groups run as ascending chunk ranges of one member mask.
+ * ones, and per qubit they give the pass's sources (src). Each needed
+ * group runs only its needed members, as ascending chunk ranges of one
+ * member mask.
  * Reading a slice outside the plan only ever happens times an exact
  * zero coefficient, or for a slice that is zero in every run; a member
- * run drops exactly those terms.
+ * that reads one input member drops exactly those terms.
  *
  * Fills @p sp (a DensityMatrix::SlicePlan): ranges from sp.want, and
  * in sp.touched every slice of a planned group, which the run must
- * first reset to |0..0>'s values; and src in @p passes. O(ops x
- * slices) bit work.
+ * first reset to |0..0>'s values; and the sources in @p passes. O(ops
+ * x slices) bit work.
  */
 template <class Plan>
 void
@@ -544,21 +550,9 @@ planSlices(const std::vector<DmOp> &ops, std::vector<simd::PauliPass> &passes,
         const uint64_t lo = pair ? std::min(a, b) : a;
         const uint64_t hi = pair ? std::max(a, b) : a;
         const size_t groups = size_t{1} << (n - (pair ? 2 : 1));
-        const unsigned all_members = pair ? 15 : 3;
-        const size_t n_members = pair ? 4 : 2;
         const auto [da, db] = ptmDeps(op);
         const uint64_t zero_in = zero_x[i];
-
-        // The members that read one input member, and that member.
-        bool single[4] = {};
-        for (unsigned o = 0; o < n_members; ++o) {
-            const uint64_t va = pair ? o >> 1 : o, vb = o & 1;
-            const int sa = oneSource(da, va, (zero_in >> a) & 1);
-            const int sb = pair ? oneSource(db, vb, (zero_in >> b) & 1) : 0;
-            single[o] = sa >= 0 && sb >= 0;
-            if (single[o])
-                pass.src[o] = static_cast<uint8_t>(pair ? 2 * sa + sb : sa);
-        }
+        setSources(pass, op, zero_in);
 
         // The needed members of each group: member o of group g is the
         // output slice whose input-side x (before the x map) has bits
@@ -583,31 +577,24 @@ planSlices(const std::vector<DmOp> &ops, std::vector<simd::PauliPass> &passes,
         });
         std::swap(cur, next);
 
-        // Each needed group's range mask (0: the whole group) and the
-        // work it runs, in members.
-        size_t work = 0;
+        // The needed groups as ranges of one member mask; a pass whose
+        // work units span groups runs every member of every group.
         const size_t first = plan.ranges.size();
         for (size_t g = 0; g < groups; ++g) {
-            unsigned mask = group_members[g];
+            const uint8_t mask = group_members[g];
             if (mask == 0)
                 continue;
-            for (unsigned o = 0; o < n_members; ++o)
-                if ((mask >> o & 1) && !single[o])
-                    mask = all_members;
-            work += static_cast<size_t>(std::popcount(mask));
-            const auto members =
-                static_cast<uint8_t>(mask == all_members ? 0 : mask);
             if (plan.ranges.size() > first && plan.ranges.back().c1 == g &&
-                plan.ranges.back().members == members)
+                plan.ranges.back().members == mask)
                 ++plan.ranges.back().c1;
             else
-                plan.ranges.push_back({g, g + 1, members});
+                plan.ranges.push_back({g, g + 1, mask});
         }
         const size_t per_group = pass.chunks / groups;
-        if (per_group == 0 || pass.chunks % groups != 0 ||
-            work * kWholeDen >= groups * n_members * kWholeNum) {
+        if (per_group == 0 || pass.chunks % groups != 0) {
             plan.ranges.resize(first);
-            plan.ranges.push_back({0, pass.chunks, 0});
+            plan.ranges.push_back(
+                {0, pass.chunks, static_cast<uint8_t>(pass.allMembers())});
             touched_all = true;
         } else {
             const uint64_t bl = uint64_t{1} << lo, bh = uint64_t{1} << hi;
@@ -665,8 +652,11 @@ coefficientOf(const PauliString &p, size_t n)
 simd::PauliPass
 streamPass(const DmOp &op, size_t n)
 {
-    return op.kind == DmOpKind::Super1q ? quadPass(op.s0, op.q0, n)
-                                        : pairPass(op, n);
+    simd::PauliPass p = op.kind == DmOpKind::Super1q
+                            ? quadPass(op.s0, op.q0, n)
+                            : pairPass(op, n);
+    setSources(p, op, 0);
+    return p;
 }
 
 DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)

@@ -125,8 +125,9 @@ struct DmOp
     Ptm s1{};
 };
 
-/** The stream kernel pass of @p op on @p n qubits, before
- *  simd::planPass chooses its path; throws on a bad qubit or depol. */
+/** The stream kernel pass of @p op on @p n qubits, its sources those
+ *  of the op's PTM blocks, before simd::planPass chooses its path;
+ *  throws on a bad qubit or depol. */
 simd::PauliPass streamPass(const DmOp &op, size_t n);
 
 /**
@@ -170,9 +171,10 @@ class DensityMatrix
 
     /**
      * Execute a noisy stream (noise/noise_model.hpp compiles one per
-     * circuit and noise spec) on the current state, now. Every op is
-     * elementwise per group, so the result is bit-identical at any
-     * thread count and on any ISA.
+     * circuit and noise spec) on the current state, now: every member
+     * of every group, each from the input x bits its PTM blocks name.
+     * Every op is elementwise per group, so the result is
+     * bit-identical at any thread count and on any ISA.
      */
     void execute(const std::vector<DmOp> &ops);
 
@@ -181,13 +183,12 @@ class DensityMatrix
      * below then runs it from |0..0> over only the x slices the
      * coefficients it reads depend on: a backward walk from those
      * slices marks, per op, the slices (members) of its 2- or 4-slice
-     * groups it must output. A member that reads one input member runs
-     * alone, with the full kernel's products of that member's terms;
-     * any other needed group runs whole through the full execution's
-     * kernels. The terms a member run drops are exact zeros, so the
-     * values read are the full stream's (up to the sign of an exact
-     * zero). A qubit's x bit is zero until an op can set it, so its
-     * first PTM reads only x_q = 0. Every slice of a planned group is
+     * groups it must output, and only those members run. Per qubit, a
+     * member reads the input x bits the op's PTM blocks name, less
+     * those known to be zero (a qubit's x bit is zero until an op can
+     * set it, so its first PTM reads only x_q = 0); the terms it drops
+     * are exact zeros, so the values read are the full stream's (up
+     * to the sign of an exact zero). Every slice of a planned group is
      * first reset to |0..0>'s value, and slices a query already read
      * stay valid until the next prepare; a query that needs more after
      * that runs every slice.

@@ -1264,9 +1264,11 @@ sweepChunkSv(const cd *data, size_t dim, uint64_t xm, size_t lanes,
 // Pauli-basis density-matrix stream (sim/density_matrix.hpp)        //
 // ================================================================ //
 // The density matrix holds its 4^n real Pauli coefficients. Every   //
-// stream pass is elementwise per quad or 16-element group: each     //
-// output is m[4r] x0 + m[4r+1] x1 + m[4r+2] x2 + m[4r+3] x3 summed  //
-// left to right, and a Pair pass ends with one multiply by a signed //
+// stream pass is elementwise per quad or 16-element group, and runs //
+// a mask of members (the elements that share their x bits) per      //
+// group: each output is m[4r] x0 + m[4r+1] x1 + m[4r+2] x2 +        //
+// m[4r+3] x3 summed left to right over the columns of the sources   //
+// it reads, and a Pair pass ends with one multiply by a signed      //
 // factor. The scalar reference fixes that order; the vector kernels //
 // repeat it lane by lane with explicit mul/add (never FMA), so every //
 // path, ISA and slicing of a pass gives the same bits.              //
@@ -1311,9 +1313,18 @@ struct LaneQuad
  *
  * Members: the elements of a group that share their x bits. A Quad
  * has 2 (member bit_hi: its elements over bit_lo), a Pair 4 (member
- * k >> 2 = 2 x_a + x_b: its elements over z_a, z_b). A member run
- * computes member o of each group from member src[o] alone (see
- * runMembers); a Pair writes it where the permutation maps it.
+ * k >> 2 = 2 x_a + x_b: its elements over z_a, z_b). A pass runs a
+ * mask of members per group (see runPass). Output x bit v of the
+ * Quad's qubit or of qubit a reads the input x bits src[0][v] (bit s:
+ * x bit s), v of qubit b reads src[1][v]: the x bits of the PTM's
+ * nonzero blocks, less those known to be zero, or both (3). Each
+ * output adds its sources' products in ascending column order, left
+ * to right, so a member that reads both gives the whole 4x4 product's
+ * bits and one that reads a single source drops only the other's
+ * exact-zero terms. A Pair computes each needed intermediate (x_a of
+ * the output, x_b of the input) once per group after ma, and writes a
+ * member where the permutation maps it. A qubit without a PTM (!pre_a,
+ * !pre_b) reads its own x bit whatever its src.
  *
  * planPass() chooses the kernel and fills the fields below path.
  */
@@ -1340,30 +1351,72 @@ struct PauliPass
     double fac[16] = {};
     bool pre_a = false, pre_b = false;
     double ma[16] = {}, mb[16] = {};
-    uint8_t src[4] = {}; ///< source member of each member (member runs)
+    uint8_t src[2][2] = {{1, 2}, {1, 2}}; ///< sources per qubit and x bit
 
     Path path = Path::Scalar;
     size_t chunks = 0; ///< work units of the chosen path
-    // Lanes path: a chunk is nv vectors holding `groups` groups.
+    // Lanes path: a chunk is 16 >> popcount(lane_k) vectors holding
+    // `groups` groups.
     /** Group-local k bits inside a vector: 2 (z_a), 1 (z_b) or both. */
     uint8_t lane_k = 0;
-    size_t nv = 0, groups = 0;
+    size_t groups = 0;
     uint64_t vfrom[16] = {}; ///< load offset of vector j
     uint64_t vto[16] = {};   ///< store offset of vector j
     LaneQuad a, b; ///< Quad: a; Pair: the qubits whose z bit is in lanes
     uint8_t perm[16][kRealLanes] = {}; ///< out lane <- source lane
     bool permuted[16] = {};
     alignas(64) double fpat[16][kRealLanes] = {}; ///< fac per source lane
+
+    /** The mask of every member of a group. */
+    unsigned allMembers() const { return kind == Kind::Quad ? 3 : 15; }
+};
+
+/** Work units [c0, c1) of one pass (see PauliPass::chunks), each over
+ *  the members of its groups in the mask @p members (bit o: member o;
+ *  PauliPass::allMembers() for every member). */
+struct PassRange
+{
+    size_t c0 = 0, c1 = 0;
+    uint8_t members = 0;
+};
+
+/**
+ * The work units each pass of a stream runs: pass i runs ranges
+ * [first[i], first[i + 1]), ascending and disjoint. A pass that runs
+ * whole has the one range [0, chunks) over all members.
+ */
+struct StreamRanges
+{
+    std::vector<PassRange> ranges;
+    std::vector<size_t> first; ///< one offset per pass, plus the end
 };
 
 namespace detail {
 
-/** Group-local elements of each qubit's four quads, quad j in the
- *  order r = 2 x + z. */
-inline constexpr uint8_t kPairQuadA[4][4] = {
-    {0, 2, 8, 10}, {1, 3, 9, 11}, {4, 6, 12, 14}, {5, 7, 13, 15}};
-inline constexpr uint8_t kPairQuadB[4][4] = {
-    {0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15}};
+/** The work units [u0, u1) of one pass, counted along its ranges
+ *  [r, end): next() gives them as chunk intervals with their masks. */
+struct RangeWalk
+{
+    const PassRange *r, *end;
+    size_t u0, u1;
+
+    bool next(size_t &c0, size_t &c1, unsigned &members)
+    {
+        while (r != end && u0 < u1) {
+            const PassRange &k = *r++;
+            const size_t len = k.c1 - k.c0;
+            const bool hit = u0 < len;
+            c0 = k.c0 + u0;
+            c1 = k.c0 + std::min(u1, len);
+            members = k.members;
+            u0 = hit ? 0 : u0 - len;
+            u1 = u1 > len ? u1 - len : 0;
+            if (hit)
+                return true;
+        }
+        return false;
+    }
+};
 
 /** Vector of group element e on the Lanes path: e with its lane k
  *  bits @p lane_k squeezed out (vectors numbered in element order). */
@@ -1386,159 +1439,110 @@ pairGroupBase(uint64_t t, const uint64_t (&pos)[4])
     return t;
 }
 
-/** out[r] = sum_c m[4r + c] x[c] over group elements q, left to
- *  right. */
-inline void
-quadScalar(double *v, const double *m, const uint8_t (&q)[4])
+// Member runs. A step applies one qubit's PTM: member i of the output
+// (up to 4, the qubit's x bit at mask bit kBit of i) from the members
+// with that bit replaced by each source of src[its bit], ascending.
+// A member holds kPer values (vectors) over its z bits; the qubit's z
+// bit is stride kZ among them, or inside the lanes when kZ = 0.
+
+/** The members a step reads to output the members @p outs. */
+inline unsigned
+memberReads(unsigned outs, bool pre, const uint8_t *src, unsigned bit)
 {
-    const double x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
-#pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r)
-        v[q[r]] = m[4 * r] * x0 + m[4 * r + 1] * x1 + m[4 * r + 2] * x2 +
-                  m[4 * r + 3] * x3;
+    if (!pre)
+        return outs;
+    unsigned in = 0;
+    for (unsigned i = 0; i < 4; ++i)
+        for (unsigned s = 0; s < 2; ++s)
+            if ((outs >> i & 1) && (src[i & bit ? 1 : 0] >> s & 1))
+                in |= 1u << ((i & ~bit) | (s ? bit : 0));
+    return in;
 }
 
-/** Scalar reference of a Quad pass over quads [t0, t1). */
+/** One step on the scalar path: rows 2o, 2o + 1 of @p m (o the
+ *  output's x bit) times columns 2s, 2s + 1 of each source s, summed
+ *  left to right; a qubit without a PTM (!pre) copies the member. */
+template <unsigned kMembers, unsigned kPer, unsigned kZ, unsigned kBit>
 inline void
-quadPassScalar(double *d, size_t t0, size_t t1, const PauliPass &p)
+step(double (*y)[kPer], const double (*x)[kPer], unsigned outs, bool pre,
+     const uint8_t *src, const double *m)
 {
-    double m[16];
-    std::copy(std::begin(p.ma), std::end(p.ma), m);
-    const uint64_t lo = p.lo, hi = p.hi;
-    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
-    double v[4];
-    for (size_t t = t0; t < t1; ++t) {
-        double *q = d + insertZeroBit(insertZeroBit(t, lo), hi);
-        v[0] = q[0];
-        v[1] = q[l];
-        v[2] = q[h];
-        v[3] = q[h | l];
-        quadScalar(v, m, {0, 1, 2, 3});
-        q[0] = v[0];
-        q[l] = v[1];
-        q[h] = v[2];
-        q[h | l] = v[3];
+    for (unsigned i = 0; i < kMembers; ++i) {
+        if (!(outs >> i & 1))
+            continue;
+        if (!pre) {
+            std::copy(x[i], x[i] + kPer, y[i]);
+            continue;
+        }
+        const unsigned o = i & kBit ? 1 : 0, srcs = src[o];
+        for (unsigned s = 0; s < 2; ++s) {
+            if (!(srcs >> s & 1))
+                continue;
+            const bool first = s == 0 || srcs == 2;
+            const double *xs = x[(i & ~kBit) | (s ? kBit : 0)];
+            const double *r = m + 8 * o + 2 * s;
+            for (unsigned j = 0; j < kPer; ++j) {
+                if (j & kZ)
+                    continue;
+                double &y0 = y[i][j], &y1 = y[i][j + kZ];
+                const double x0 = xs[j], x1 = xs[j + kZ];
+                y0 = (first ? r[0] * x0 : y0 + r[0] * x0) + r[1] * x1;
+                y1 = (first ? r[4] * x0 : y1 + r[4] * x0) + r[5] * x1;
+            }
+        }
     }
 }
 
-/** Scalar reference of a Pair pass over groups [g0, g1). */
+/** Scalar reference of a Quad pass over the quads of @p w. */
 inline void
-pairPassScalar(double *d, size_t g0, size_t g1, const PauliPass &p)
-{
-    // Locals: the stores below cannot alias them.
-    double ma[16], mb[16], fac[16];
-    uint64_t from[16], to[16], pos[4];
-    std::copy(std::begin(p.ma), std::end(p.ma), ma);
-    std::copy(std::begin(p.mb), std::end(p.mb), mb);
-    std::copy(std::begin(p.fac), std::end(p.fac), fac);
-    std::copy(std::begin(p.from), std::end(p.from), from);
-    std::copy(std::begin(p.to), std::end(p.to), to);
-    std::copy(std::begin(p.pos), std::end(p.pos), pos);
-    const bool pre_a = p.pre_a, pre_b = p.pre_b;
-    double v[16];
-    for (size_t g = g0; g < g1; ++g) {
-        double *base = d + pairGroupBase(g, pos);
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            v[e] = base[from[e]];
-        if (pre_a) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                quadScalar(v, ma, kPairQuadA[j]);
-        }
-        if (pre_b) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                quadScalar(v, mb, kPairQuadB[j]);
-        }
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            base[to[e]] = v[e] * fac[e];
-    }
-}
-
-// Member runs: member o of each group from member s = src[o] alone.
-// Every other member's terms are exact zeros there (a zero PTM block
-// or a known-zero input), so each output keeps the group kernel's
-// products of member s's columns, in their order, and drops the rest.
-
-/** Rows 2o and 2o + 1 of quad matrix @p m from the columns of source
- *  x = s: quadScalar's products of those columns, in order. */
-inline void
-halfQuad(double &y0, double &y1, double x0, double x1, const double *m,
-         unsigned o, unsigned s)
-{
-    const double *r = m + 8 * o + 2 * s;
-    y0 = r[0] * x0 + r[1] * x1;
-    y1 = r[4] * x0 + r[5] * x1;
-}
-
-/** Scalar member run of a Quad pass over quads [t0, t1). */
-inline void
-quadMembersScalar(double *d, size_t t0, size_t t1, const PauliPass &p,
-                  unsigned members)
+quadMembersScalar(double *d, const PauliPass &p, RangeWalk w)
 {
     double m[16];
     std::copy(std::begin(p.ma), std::end(p.ma), m);
     const uint64_t lo = p.lo, hi = p.hi;
     const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
     const uint64_t off[4] = {0, l, h, h | l};
-    const unsigned src[2] = {p.src[0], p.src[1]};
-    double y[4] = {};
-    for (size_t t = t0; t < t1; ++t) {
-        double *q = d + insertZeroBit(insertZeroBit(t, lo), hi);
-        for (unsigned o = 0; o < 2; ++o)
-            if (members >> o & 1)
-                halfQuad(y[2 * o], y[2 * o + 1], q[off[2 * src[o]]],
-                         q[off[2 * src[o] + 1]], m, o, src[o]);
-        for (unsigned o = 0; o < 2; ++o)
-            if (members >> o & 1) {
-                q[off[2 * o]] = y[2 * o];
-                q[off[2 * o + 1]] = y[2 * o + 1];
-            }
+    const uint8_t src[2] = {p.src[0][0], p.src[0][1]};
+    double x[2][2] = {}, y[2][2] = {};
+    size_t t0, t1;
+    unsigned members;
+    while (w.next(t0, t1, members)) {
+        const unsigned in = memberReads(members, true, src, 1);
+        for (size_t t = t0; t < t1; ++t) {
+            double *q = d + insertZeroBit(insertZeroBit(t, lo), hi);
+            for (unsigned e = 0; e < 4; ++e)
+                if (in >> (e >> 1) & 1)
+                    x[e >> 1][e & 1] = q[off[e]];
+            step<2, 2, 1, 1>(y, x, members, true, src, m);
+            for (unsigned e = 0; e < 4; ++e)
+                if (members >> (e >> 1) & 1)
+                    q[off[e]] = y[e >> 1][e & 1];
+        }
     }
 }
 
-/** Scalar member run of a Pair pass over groups [g0, g1): member o's
- *  elements 2 z_a + z_b come from member s's through pre_a on z_a, then
- *  pre_b on z_b, and are written as the group kernel writes them. */
+/** Scalar reference of a Pair pass over the groups of @p w. */
 inline void
-pairMembersScalar(double *d, size_t g0, size_t g1, const PauliPass &p,
-                  unsigned members)
+pairMembersScalar(double *d, const PauliPass &pp, RangeWalk w)
 {
-    double ma[16], mb[16], fac[16];
-    uint64_t from[16], to[16], pos[4];
-    std::copy(std::begin(p.ma), std::end(p.ma), ma);
-    std::copy(std::begin(p.mb), std::end(p.mb), mb);
-    std::copy(std::begin(p.fac), std::end(p.fac), fac);
-    std::copy(std::begin(p.from), std::end(p.from), from);
-    std::copy(std::begin(p.to), std::end(p.to), to);
-    std::copy(std::begin(p.pos), std::end(p.pos), pos);
-    const unsigned src[4] = {p.src[0], p.src[1], p.src[2], p.src[3]};
-    const bool pre_a = p.pre_a, pre_b = p.pre_b;
-    double v[4][4];
-    for (size_t g = g0; g < g1; ++g) {
-        double *base = d + pairGroupBase(g, pos);
-        for (unsigned o = 0; o < 4; ++o) {
-            if (!(members >> o & 1))
-                continue;
-            const unsigned s = src[o];
-            double *x = v[o];
-            for (unsigned e = 0; e < 4; ++e)
-                x[e] = base[from[4 * s + e]];
-            if (pre_a)
-                for (unsigned zb = 0; zb < 2; ++zb)
-                    halfQuad(x[zb], x[2 + zb], x[zb], x[2 + zb], ma, o >> 1,
-                             s >> 1);
-            if (pre_b)
-                for (unsigned za = 0; za < 2; ++za)
-                    halfQuad(x[2 * za], x[2 * za + 1], x[2 * za],
-                             x[2 * za + 1], mb, o & 1, s & 1);
+    const PauliPass p = pp; // locals: the stores below cannot alias it
+    double x[4][4] = {}, t[4][4] = {}, y[4][4] = {};
+    size_t g0, g1;
+    unsigned members;
+    while (w.next(g0, g1, members)) {
+        const unsigned mid = memberReads(members, p.pre_b, p.src[1], 1);
+        const unsigned in = memberReads(mid, p.pre_a, p.src[0], 2);
+        for (size_t g = g0; g < g1; ++g) {
+            double *base = d + pairGroupBase(g, p.pos);
+            for (unsigned k = 0; k < 16; ++k)
+                if (in >> (k >> 2) & 1)
+                    x[k >> 2][k & 3] = base[p.from[k]];
+            step<4, 4, 2, 2>(t, x, mid, p.pre_a, p.src[0], p.ma);
+            step<4, 4, 1, 1>(y, t, members, p.pre_b, p.src[1], p.mb);
+            for (unsigned k = 0; k < 16; ++k)
+                if (members >> (k >> 2) & 1)
+                    base[p.to[k]] = y[k >> 2][k & 3] * p.fac[k];
         }
-        for (unsigned o = 0; o < 4; ++o)
-            if (members >> o & 1)
-                for (unsigned e = 0; e < 4; ++e)
-                    base[to[4 * o + e]] = v[o][e] * fac[4 * o + e];
     }
 }
 
@@ -1696,217 +1700,72 @@ rperm(RVec v, RIdx i)
 
 #endif // real-lane primitives
 
-/** A quad held in four vectors, one per r. */
-EFTVQA_SIMD_TARGET inline void
-rquad(RVec *v, const RVec *m, const uint8_t *q)
+/** A member's kPer vectors in place: at @p base + off[j]. */
+struct MemberAt
 {
-    const RVec x0 = v[q[0]], x1 = v[q[1]], x2 = v[q[2]], x3 = v[q[3]];
-#pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r)
-        v[q[r]] = radd(radd(radd(rmul(m[4 * r], x0), rmul(m[4 * r + 1], x1)),
-                            rmul(m[4 * r + 2], x2)),
-                       rmul(m[4 * r + 3], x3));
-}
+    const double *base;
+    const uint64_t *off;
 
-/** A quad split by its low bit across the lanes of two vectors: a
- *  holds r = 0, 1 and b holds r = 2, 3 (see LaneQuad::pat). */
-EFTVQA_SIMD_TARGET inline void
-rquadLanes(RVec &a, RVec &b, const RVec *pat, RIdx lo, RIdx hi)
-{
-    const RVec a0 = rperm(a, lo), a1 = rperm(a, hi);
-    const RVec b0 = rperm(b, lo), b1 = rperm(b, hi);
-    a = radd(radd(radd(rmul(pat[0], a0), rmul(pat[1], a1)),
-                  rmul(pat[2], b0)),
-             rmul(pat[3], b1));
-    b = radd(radd(radd(rmul(pat[4], a0), rmul(pat[5], a1)),
-                  rmul(pat[6], b0)),
-             rmul(pat[7], b1));
-}
-
-/** halfQuad on vectors. */
-EFTVQA_SIMD_TARGET inline void
-rhalfQuad(RVec &y0, RVec &y1, RVec x0, RVec x1, const RVec *m, unsigned o,
-          unsigned s)
-{
-    const RVec *r = m + 8 * o + 2 * s;
-    y0 = radd(rmul(r[0], x0), rmul(r[1], x1));
-    y1 = radd(rmul(r[4], x0), rmul(r[5], x1));
-}
-
-/** rquadLanes' output vector for x = o from the lanes of the source
- *  vector @p v of x = s alone. */
-EFTVQA_SIMD_TARGET inline RVec
-rhalfQuadLanes(RVec v, const RVec *pat, RIdx lo, RIdx hi, unsigned o,
-               unsigned s)
-{
-    const RVec *r = pat + 4 * o + 2 * s;
-    return radd(rmul(r[0], rperm(v, lo)), rmul(r[1], rperm(v, hi)));
-}
-
-/** Quad pass, both bits at or above the lane width: chunk c holds
- *  quads [c kRealLanes, (c + 1) kRealLanes). */
-EFTVQA_SIMD_TARGET inline void
-kernQuadVector(double *d, size_t c0, size_t c1, const PauliPass &p)
-{
-    RVec m[16];
-    for (int e = 0; e < 16; ++e)
-        m[e] = rset1(p.ma[e]);
-    const uint64_t lo = p.lo, hi = p.hi;
-    const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
-    static constexpr uint8_t kQuad[4] = {0, 1, 2, 3};
-    RVec v[4];
-    for (size_t c = c0; c < c1; ++c) {
-        double *q = d + insertZeroBit(insertZeroBit(c * kRealLanes, lo), hi);
-        v[0] = rload(q);
-        v[1] = rload(q + l);
-        v[2] = rload(q + h);
-        v[3] = rload(q + (h | l));
-        rquad(v, m, kQuad);
-        rstore(q, v[0]);
-        rstore(q + l, v[1]);
-        rstore(q + h, v[2]);
-        rstore(q + (h | l), v[3]);
+    EFTVQA_SIMD_TARGET RVec operator[](unsigned j) const
+    {
+        return rload(base + off[j]);
     }
-}
+};
 
-/** Quad pass with the low bit inside a vector and the high bit above
- *  the lane width. */
+/** One source's products on an output member @p y (see step): set, or
+ *  added after the earlier source's (kAdd). @p x gives the source's
+ *  vectors (an RVec array or a MemberAt). With kZ = 0 the z bit is
+ *  inside the lanes: rows @p r of the lane pattern times the source
+ *  lanes duplicated by @p lo (z = 0) and @p hi (z = 1). */
+template <bool kAdd, unsigned kPer, unsigned kZ, class Src>
 EFTVQA_SIMD_TARGET inline void
-kernQuadLanes(double *d, size_t c0, size_t c1, const PauliPass &p)
-{
-    RVec pat[8];
-    for (int k = 0; k < 8; ++k)
-        pat[k] = rload(p.a.pat[k]);
-    const RIdx lo = ridx(p.a.dup_lo), hi = ridx(p.a.dup_hi);
-    const uint64_t top = p.hi;
-    const uint64_t h = uint64_t{1} << top;
-    for (size_t c = c0; c < c1; ++c) {
-        double *q = d + insertZeroBit(c * kRealLanes, top);
-        RVec a = rload(q), b = rload(q + h);
-        rquadLanes(a, b, pat, lo, hi);
-        rstore(q, a);
-        rstore(q + h, b);
-    }
-}
-
-/** Pair pass, every varied bit at or above the lane width: chunk c
- *  holds groups [c kRealLanes, (c + 1) kRealLanes), adjacent in each
- *  of the 16 slots. */
-EFTVQA_SIMD_TARGET inline void
-kernPairVector(double *d, size_t c0, size_t c1, const PauliPass &p)
-{
-    // Locals: the stores below cannot alias them.
-    uint64_t from[16], to[16], pos[4];
-    RVec ma[16], mb[16], f[16];
-    for (int e = 0; e < 16; ++e) {
-        from[e] = p.from[e];
-        to[e] = p.to[e];
-        ma[e] = rset1(p.ma[e]);
-        mb[e] = rset1(p.mb[e]);
-        f[e] = rset1(p.fac[e]);
-    }
-    for (int j = 0; j < 4; ++j)
-        pos[j] = p.pos[j];
-    const bool pre_a = p.pre_a, pre_b = p.pre_b;
-    RVec v[16];
-    for (size_t c = c0; c < c1; ++c) {
-        double *base = d + pairGroupBase(c * kRealLanes, pos);
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            v[e] = rload(base + from[e]);
-        if (pre_a) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                rquad(v, ma, kPairQuadA[j]);
-        }
-        if (pre_b) {
-#pragma GCC unroll 4
-            for (int j = 0; j < 4; ++j)
-                rquad(v, mb, kPairQuadB[j]);
-        }
-#pragma GCC unroll 16
-        for (int e = 0; e < 16; ++e)
-            rstore(base + to[e], rmul(v[e], f[e]));
-    }
-}
-
-/** One qubit's quads of a Lanes-path chunk: vector pairs when its z
- *  bit is in lanes, vector quads otherwise; quads that differ only in
- *  the other qubit's lane bit share their vectors. */
-template <unsigned kLaneK, bool kInLanes, bool kOtherInLanes>
-EFTVQA_SIMD_TARGET inline void
-laneQuads(RVec *w, const uint8_t (&quads)[4][4], const RVec *m,
-          const RVec *pat, RIdx lo, RIdx hi)
+rsource(RVec *y, const Src &x, const RVec *r, RIdx lo, RIdx hi)
 {
 #pragma GCC unroll 4
-    for (int j = 0; j < 4; j += kOtherInLanes ? 2 : 1) {
-        const uint8_t *q = quads[j];
-        if constexpr (kInLanes) {
-            rquadLanes(w[laneVector(kLaneK, q[0])],
-                       w[laneVector(kLaneK, q[2])], pat, lo, hi);
-        } else {
-            const uint8_t v[4] = {
-                laneVector(kLaneK, q[0]), laneVector(kLaneK, q[1]),
-                laneVector(kLaneK, q[2]), laneVector(kLaneK, q[3])};
-            rquad(w, m, v);
+    for (unsigned j = 0; j < kPer; ++j) {
+        if constexpr (kZ == 0) {
+            const RVec v = x[j];
+            RVec t = rmul(r[0], rperm(v, lo));
+            if constexpr (kAdd)
+                t = radd(y[j], t);
+            y[j] = radd(t, rmul(r[1], rperm(v, hi)));
+        } else if (!(j & kZ)) {
+            const RVec v0 = x[j], v1 = x[j + kZ];
+            RVec t0 = rmul(r[0], v0), t1 = rmul(r[4], v0);
+            if constexpr (kAdd) {
+                t0 = radd(y[j], t0);
+                t1 = radd(y[j + kZ], t1);
+            }
+            y[j] = radd(t0, rmul(r[1], v1));
+            y[j + kZ] = radd(t1, rmul(r[5], v1));
         }
     }
 }
 
-/** Pair pass whose z bits kLaneK (group-local: 2 for z_a, 1 for z_b)
- *  fall inside a vector, x bits above the lane width (see PauliPass's
- *  Lanes fields). */
-template <unsigned kLaneK>
+/** An output member of one qubit's PTM from the sources @p srcs, @p x0
+ *  for x bit 0 and @p x1 for x bit 1; @p r holds the output's rows. */
+template <unsigned kPer, unsigned kZ, class Src>
 EFTVQA_SIMD_TARGET inline void
-kernPairLanes(double *d, size_t c0, size_t c1, const PauliPass &pp)
+rmember(RVec *y, const Src &x0, const Src &x1, unsigned srcs, const RVec *r,
+        RIdx lo, RIdx hi)
 {
-    constexpr int kNv = 16 >> std::popcount(kLaneK);
-    constexpr bool kA = kLaneK & 2, kB = kLaneK & 1;
-    const PauliPass p = pp; // locals: the stores below cannot alias it
-    RVec ma[16], mb[16], pa[8], pb[8], f[kNv];
-    RIdx perm[kNv];
-    for (int e = 0; e < 16; ++e) {
-        ma[e] = rset1(p.ma[e]);
-        mb[e] = rset1(p.mb[e]);
-    }
-    for (int k = 0; k < 8; ++k) {
-        pa[k] = rload(p.a.pat[k]);
-        pb[k] = rload(p.b.pat[k]);
-    }
-    const RIdx alo = ridx(p.a.dup_lo), ahi = ridx(p.a.dup_hi);
-    const RIdx blo = ridx(p.b.dup_lo), bhi = ridx(p.b.dup_hi);
-    for (int j = 0; j < kNv; ++j) {
-        f[j] = rload(p.fpat[j]);
-        perm[j] = ridx(p.perm[j]);
-    }
-    RVec w[kNv];
-    for (size_t c = c0; c < c1; ++c) {
-        double *base = d + pairGroupBase(c * p.groups, p.pos);
-#pragma GCC unroll 16
-        for (int j = 0; j < kNv; ++j)
-            w[j] = rload(base + p.vfrom[j]);
-        if (p.pre_a)
-            laneQuads<kLaneK, kA, kB>(w, kPairQuadA, ma, pa, alo, ahi);
-        if (p.pre_b)
-            laneQuads<kLaneK, kB, kA>(w, kPairQuadB, mb, pb, blo, bhi);
-#pragma GCC unroll 16
-        for (int j = 0; j < kNv; ++j)
-            w[j] = rmul(w[j], f[j]);
-#pragma GCC unroll 16
-        for (int j = 0; j < kNv; ++j)
-            rstore(base + p.vto[j],
-                   p.permuted[j] ? rperm(w[j], perm[j]) : w[j]);
-    }
+    if (srcs & 1)
+        rsource<false, kPer, kZ>(y, x0, r, lo, hi);
+    else
+        rsource<false, kPer, kZ>(y, x1, r + 2, lo, hi);
+    if (srcs == 3)
+        rsource<true, kPer, kZ>(y, x1, r + 2, lo, hi);
 }
 
-/** Member run of a Quad pass on the Vector (kLow = false) or Lanes
- *  (kLow: the low bit inside a vector) path: the units of
- *  kernQuadVector / kernQuadLanes. */
-template <bool kLow>
+/** Quad pass on the Vector path (kLow = false: chunk c holds quads
+ *  [c kRealLanes, (c + 1) kRealLanes)) or the Lanes path (kLow: the
+ *  low bit inside a vector) over the chunks of @p w; kTwo when an
+ *  output reads both sources. */
+template <bool kLow, bool kTwo>
 EFTVQA_SIMD_TARGET inline void
-kernQuadMembers(double *d, size_t c0, size_t c1, const PauliPass &p,
-                unsigned members)
+kernQuadMembers(double *d, const PauliPass &p, RangeWalk w)
 {
+    constexpr unsigned kPer = kLow ? 1 : 2;
     RVec m[16], pat[8];
     for (int e = 0; e < 16; ++e)
         m[e] = rset1(p.ma[e]);
@@ -1916,47 +1775,76 @@ kernQuadMembers(double *d, size_t c0, size_t c1, const PauliPass &p,
     const uint64_t lo = p.lo, hi = p.hi;
     const uint64_t l = uint64_t{1} << lo, h = uint64_t{1} << hi;
     const uint64_t off[4] = {0, l, h, h | l};
-    const unsigned src[2] = {p.src[0], p.src[1]};
-    RVec y[4];
-    for (size_t c = c0; c < c1; ++c) {
-        double *q = kLow ? d + insertZeroBit(c * kRealLanes, hi)
-                         : d + insertZeroBit(insertZeroBit(c * kRealLanes, lo),
-                                             hi);
-        for (unsigned o = 0; o < 2; ++o) {
-            if (!(members >> o & 1))
-                continue;
-            const unsigned s = src[o];
-            if (kLow)
-                y[2 * o] = rhalfQuadLanes(rload(q + off[2 * s]), pat, dlo,
-                                          dhi, o, s);
-            else
-                rhalfQuad(y[2 * o], y[2 * o + 1], rload(q + off[2 * s]),
-                          rload(q + off[2 * s + 1]), m, o, s);
+    const uint8_t src[2] = {p.src[0][0], p.src[0][1]};
+    RVec x[2][kPer], y[2][kPer] = {};
+    size_t c0, c1;
+    unsigned members;
+    while (w.next(c0, c1, members))
+        for (size_t c = c0; c < c1; ++c) {
+            double *q = kLow ? d + insertZeroBit(c * kRealLanes, hi)
+                             : d + insertZeroBit(
+                                       insertZeroBit(c * kRealLanes, lo), hi);
+            // Both sources in registers when an output reads both.
+            for (unsigned s = 0; kTwo && s < 2; ++s)
+                for (unsigned j = 0; j < kPer; ++j)
+                    x[s][j] = rload(q + off[2 * s + j]);
+#pragma GCC unroll 2
+            for (unsigned o = 0; o < 2; ++o) {
+                const RVec *r = kLow ? pat + 4 * o : m + 8 * o;
+                if (!(members >> o & 1))
+                    continue;
+                if constexpr (kTwo)
+                    rmember<kPer, kLow ? 0 : 1>(y[o], x[0], x[1], src[o], r,
+                                                dlo, dhi);
+                else
+                    rmember<kPer, kLow ? 0 : 1>(y[o], MemberAt{q, off},
+                                                MemberAt{q, off + 2}, src[o],
+                                                r, dlo, dhi);
+            }
+#pragma GCC unroll 2
+            for (unsigned o = 0; o < 2; ++o)
+                if (members >> o & 1)
+                    for (unsigned j = 0; j < kPer; ++j)
+                        rstore(q + off[2 * o + j], y[o][j]);
         }
-        for (unsigned o = 0; o < 2; ++o) {
-            if (!(members >> o & 1))
-                continue;
-            rstore(q + off[2 * o], y[2 * o]);
-            if (!kLow)
-                rstore(q + off[2 * o + 1], y[2 * o + 1]);
-        }
+}
+
+/** Store member @p y times @p f at @p base + to[j], each vector
+ *  through its lane permutation when permuted[j]. */
+template <unsigned kPer>
+EFTVQA_SIMD_TARGET inline void
+rstoreMember(double *base, const RVec *y, const RVec *f, const uint64_t *to,
+             const bool *permuted, const RIdx *perm)
+{
+#pragma GCC unroll 4
+    for (unsigned j = 0; j < kPer; ++j) {
+        const RVec r = rmul(y[j], f[j]);
+        rstore(base + to[j], permuted[j] ? rperm(r, perm[j]) : r);
     }
 }
 
-/** Member run of a Pair pass on the Vector path (kLaneK = 0) or the
- *  Lanes path with in-lane z bits kLaneK: the units of kernPairVector /
- *  kernPairLanes. A member is 4 vectors (z_a, z_b), 2 (the z bit
- *  outside the lanes) or 1. */
-template <unsigned kLaneK>
+/** Pair pass on the Vector path (kLaneK = 0: chunk c holds groups
+ *  [c kRealLanes, (c + 1) kRealLanes), adjacent in each of the 16
+ *  slots) or the Lanes path with in-lane z bits kLaneK (group-local: 2
+ *  for z_a, 1 for z_b; see PauliPass's Lanes fields): the members in
+ *  @p members. A member is 4 vectors (z_a, z_b), 2 (the z bit outside
+ *  the lanes) or 1, over the chunks of @p w; kPreA and kPreB are the
+ *  pass's pre_a and pre_b. Per group, the intermediates the members
+ *  read come first, from the loads, so every store follows every
+ *  load. */
+template <unsigned kLaneK, bool kPreA, bool kPreB>
 EFTVQA_SIMD_TARGET inline void
-kernPairMembers(double *d, size_t c0, size_t c1, const PauliPass &pp,
-                unsigned members)
+kernPairMembers(double *d, const PauliPass &p, RangeWalk w)
 {
     constexpr unsigned kPer = 4u >> std::popcount(kLaneK);
-    constexpr bool kA = kLaneK & 2, kB = kLaneK & 1;
-    const PauliPass p = pp; // locals: the stores below cannot alias it
+    // The vector strides of z_a and z_b in a member (0: in the lanes).
+    constexpr unsigned kZa = kLaneK & 2 ? 0 : kPer / 2;
+    constexpr unsigned kZb = kLaneK & 1 ? 0 : 1;
+    // Locals: the stores below cannot alias them.
     RVec ma[16], mb[16], pa[8], pb[8], f[16];
     RIdx perm[16];
+    uint64_t from[16], to[16], pos[4];
+    bool permuted[16];
     for (int e = 0; e < 16; ++e) {
         ma[e] = rset1(p.ma[e]);
         mb[e] = rset1(p.mb[e]);
@@ -1969,62 +1857,82 @@ kernPairMembers(double *d, size_t c0, size_t c1, const PauliPass &pp,
     const RIdx blo = ridx(p.b.dup_lo), bhi = ridx(p.b.dup_hi);
     // Vector j of member o is element 4 o + j on the Vector path and
     // Lanes vector kPer o + j (see laneVector) otherwise.
-    const uint64_t *vfrom = kLaneK ? p.vfrom : p.from;
-    const uint64_t *vto = kLaneK ? p.vto : p.to;
-    for (unsigned j = 0; j < 4 * kPer; ++j) {
-        f[j] = kLaneK ? rload(p.fpat[j]) : rset1(p.fac[j]);
-        perm[j] = ridx(p.perm[j]);
+    for (unsigned v = 0; v < 4 * kPer; ++v) {
+        from[v] = kLaneK ? p.vfrom[v] : p.from[v];
+        to[v] = kLaneK ? p.vto[v] : p.to[v];
+        f[v] = kLaneK ? rload(p.fpat[v]) : rset1(p.fac[v]);
+        permuted[v] = kLaneK && p.permuted[v];
+        perm[v] = ridx(p.perm[v]);
     }
+    std::copy(std::begin(p.pos), std::end(p.pos), pos);
+    const uint8_t sa[2] = {p.src[0][0], p.src[0][1]};
+    const uint8_t sb[2] = {p.src[1][0], p.src[1][1]};
     const size_t width = kLaneK ? p.groups : kRealLanes;
-    RVec w[4][kPer];
-    for (size_t c = c0; c < c1; ++c) {
-        double *base = d + pairGroupBase(c * width, p.pos);
-        for (unsigned o = 0; o < 4; ++o) {
-            if (!(members >> o & 1))
-                continue;
-            const unsigned s = p.src[o];
-            RVec *x = w[o];
-            for (unsigned j = 0; j < kPer; ++j)
-                x[j] = rload(base + vfrom[kPer * s + j]);
-            if (p.pre_a) {
-                if constexpr (kA) {
+    RVec t[4][kPer] = {};
+    size_t c0, c1;
+    unsigned members;
+    while (w.next(c0, c1, members)) {
+        // Intermediate i = 2 o_a + s_b: x_a of the output, x_b of the
+        // input.
+        const unsigned mid = memberReads(members, kPreB, sb, 1);
+        for (size_t c = c0; c < c1; ++c) {
+            double *base = d + pairGroupBase(c * width, pos);
+#pragma GCC unroll 4
+            for (unsigned i = 0; i < 4; ++i) {
+                const unsigned oa = i >> 1, s = i & 1;
+                if (!(mid >> i & 1))
+                    continue;
+                const MemberAt x0{base, from + kPer * s};
+                const MemberAt x1{base, from + kPer * (2 + s)};
+                if constexpr (kPreA)
+                    rmember<kPer, kZa>(t[i], x0, x1, sa[oa],
+                                       kZa ? ma + 8 * oa : pa + 4 * oa, alo,
+                                       ahi);
+                else
                     for (unsigned j = 0; j < kPer; ++j)
-                        x[j] = rhalfQuadLanes(x[j], pa, alo, ahi, o >> 1,
-                                              s >> 1);
-                } else {
-                    // z_a is the member's vector bit kPer / 2.
-                    constexpr unsigned kZa = kPer / 2;
-                    for (unsigned j = 0; j < kZa; ++j)
-                        rhalfQuad(x[j], x[j + kZa], x[j], x[j + kZa], ma,
-                                  o >> 1, s >> 1);
-                }
+                        t[i][j] = (oa ? x1 : x0)[j];
             }
-            if (p.pre_b) {
-                if constexpr (kB) {
-                    for (unsigned j = 0; j < kPer; ++j)
-                        x[j] = rhalfQuadLanes(x[j], pb, blo, bhi, o & 1,
-                                              s & 1);
-                } else {
-                    // z_b is the member's vector bit 0.
-                    for (unsigned j = 0; j < kPer; j += 2)
-                        rhalfQuad(x[j], x[j + 1], x[j], x[j + 1], mb, o & 1,
-                                  s & 1);
+#pragma GCC unroll 4
+            for (unsigned o = 0; o < 4; ++o) {
+                const unsigned ob = o & 1, v = kPer * o;
+                if (!(members >> o & 1))
+                    continue;
+                if constexpr (!kPreB) {
+                    rstoreMember<kPer>(base, t[o], f + v, to + v,
+                                       permuted + v, perm + v);
+                    continue;
                 }
-            }
-            for (unsigned j = 0; j < kPer; ++j)
-                x[j] = rmul(x[j], f[kPer * o + j]);
-        }
-        for (unsigned o = 0; o < 4; ++o) {
-            if (!(members >> o & 1))
-                continue;
-            for (unsigned j = 0; j < kPer; ++j) {
-                const unsigned v = kPer * o + j;
-                rstore(base + vto[v], kLaneK && p.permuted[v]
-                                          ? rperm(w[o][j], perm[v])
-                                          : w[o][j]);
+                RVec y[kPer];
+                rmember<kPer, kZb>(y, t[o & 2], t[o | 1], sb[ob],
+                                   kZb ? mb + 8 * ob : pb + 4 * ob, blo, bhi);
+                rstoreMember<kPer>(base, y, f + v, to + v, permuted + v,
+                                   perm + v);
             }
         }
     }
+}
+
+/** kernQuadMembers for the sources of @p p. */
+template <bool kLow>
+EFTVQA_SIMD_TARGET inline void
+kernQuad(double *d, const PauliPass &p, RangeWalk w)
+{
+    p.src[0][0] == 3 || p.src[0][1] == 3
+        ? kernQuadMembers<kLow, true>(d, p, w)
+        : kernQuadMembers<kLow, false>(d, p, w);
+}
+
+/** kernPairMembers for the PTMs of @p p. */
+template <unsigned kLaneK>
+EFTVQA_SIMD_TARGET inline void
+kernPair(double *d, const PauliPass &p, RangeWalk w)
+{
+    if (p.pre_a)
+        p.pre_b ? kernPairMembers<kLaneK, true, true>(d, p, w)
+                : kernPairMembers<kLaneK, true, false>(d, p, w);
+    else
+        p.pre_b ? kernPairMembers<kLaneK, false, true>(d, p, w)
+                : kernPairMembers<kLaneK, false, false>(d, p, w);
 }
 
 #endif // EFTVQA_SIMD_VECTOR
@@ -2060,7 +1968,7 @@ planPairLanes(PauliPass &p, size_t size)
     p.lane_k = static_cast<uint8_t>((za < kRealLaneBits ? 2 : 0) |
                                     (zb < kRealLaneBits ? 1 : 0));
     const uint64_t low = p.from[p.lane_k]; // the lane bits' offsets
-    p.nv = size_t{16} >> std::popcount(p.lane_k);
+    const size_t nv = size_t{16} >> std::popcount(p.lane_k);
     p.groups = kRealLanes >> std::popcount(p.lane_k);
     p.chunks = size / 16 / p.groups;
     if (p.lane_k & 2)
@@ -2076,7 +1984,7 @@ planPairLanes(PauliPass &p, size_t size)
         p.vfrom[vec[e]] = p.from[e] & ~kLaneMask;
     }
 
-    for (size_t j = 0; j < p.nv; ++j) {
+    for (size_t j = 0; j < nv; ++j) {
         for (uint64_t l = 0; l < kRealLanes; ++l) {
             int e = 0;
             while (vec[e] != j || (p.from[e] & kLaneMask) != (l & low))
@@ -2096,64 +2004,31 @@ planPairLanes(PauliPass &p, size_t size)
     return true;
 }
 
-/** Member run of pass @p p over its work units [c0, c1): only the
- *  members in the mask @p members, each from its src member. */
+/** Run pass @p p over the work units of @p w: the members in the mask
+ *  of each range, each from its sources (see PauliPass). */
 inline void
-runMembers(double *d, const PauliPass &p, size_t c0, size_t c1,
-           unsigned members)
+runPass(double *d, const PauliPass &p, RangeWalk w)
 {
     const bool quad = p.kind == PauliPass::Kind::Quad;
 #if defined(EFTVQA_SIMD_VECTOR)
     using Path = PauliPass::Path;
     if (p.path == Path::Vector) {
-        quad ? kernQuadMembers<false>(d, c0, c1, p, members)
-             : kernPairMembers<0>(d, c0, c1, p, members);
+        quad ? kernQuad<false>(d, p, w) : kernPair<0>(d, p, w);
         return;
     }
     if (p.path == Path::Lanes) {
         if (quad)
-            kernQuadMembers<true>(d, c0, c1, p, members);
+            kernQuad<true>(d, p, w);
         else if (p.lane_k == 1)
-            kernPairMembers<1>(d, c0, c1, p, members);
+            kernPair<1>(d, p, w);
         else if (p.lane_k == 2)
-            kernPairMembers<2>(d, c0, c1, p, members);
+            kernPair<2>(d, p, w);
         else
-            kernPairMembers<3>(d, c0, c1, p, members);
+            kernPair<3>(d, p, w);
         return;
     }
 #endif
-    quad ? quadMembersScalar(d, c0, c1, p, members)
-         : pairMembersScalar(d, c0, c1, p, members);
-}
-
-/** Run pass @p p over its work units [c0, c1): every member of each
- *  group when @p members is 0, else the member run of that mask. */
-inline void
-runPass(double *d, const PauliPass &p, size_t c0, size_t c1,
-        unsigned members = 0)
-{
-    if (members != 0)
-        return runMembers(d, p, c0, c1, members);
-    const bool quad = p.kind == PauliPass::Kind::Quad;
-#if defined(EFTVQA_SIMD_VECTOR)
-    using Path = PauliPass::Path;
-    if (p.path == Path::Vector) {
-        quad ? kernQuadVector(d, c0, c1, p) : kernPairVector(d, c0, c1, p);
-        return;
-    }
-    if (p.path == Path::Lanes) {
-        if (quad)
-            kernQuadLanes(d, c0, c1, p);
-        else if (p.lane_k == 1)
-            kernPairLanes<1>(d, c0, c1, p);
-        else if (p.lane_k == 2)
-            kernPairLanes<2>(d, c0, c1, p);
-        else
-            kernPairLanes<3>(d, c0, c1, p);
-        return;
-    }
-#endif
-    quad ? quadPassScalar(d, c0, c1, p) : pairPassScalar(d, c0, c1, p);
+    quad ? quadMembersScalar(d, p, w) : pairMembersScalar(d, p, w);
 }
 
 } // namespace detail
@@ -2196,43 +2071,6 @@ planPass(PauliPass &p, size_t size)
     }
 }
 
-/** Work units [c0, c1) of one pass (see PauliPass::chunks), each over
- *  every member of its groups (members = 0) or over a member mask. */
-struct PassRange
-{
-    size_t c0 = 0, c1 = 0;
-    uint8_t members = 0;
-};
-
-/**
- * The work units each pass of a stream runs: pass i runs ranges
- * [first[i], first[i + 1]), ascending and disjoint. A pass that runs
- * whole has the one range [0, chunks) over every member.
- */
-struct StreamRanges
-{
-    std::vector<PassRange> ranges;
-    std::vector<size_t> first; ///< one offset per pass, plus the end
-};
-
-namespace detail {
-
-/** Units [u0, u1) of pass @p p, counted along its ranges [r, end). */
-inline void
-runRanges(double *d, const PauliPass &p, const PassRange *r,
-          const PassRange *end, size_t u0, size_t u1)
-{
-    for (; r != end && u0 < u1; ++r) {
-        const size_t len = r->c1 - r->c0;
-        if (u0 < len)
-            runPass(d, p, r->c0 + u0, r->c0 + std::min(u1, len),
-                    r->members);
-        u0 = u0 > len ? u0 - len : 0;
-        u1 = u1 > len ? u1 - len : 0;
-    }
-}
-
-} // namespace detail
 
 /**
  * Run @p passes in order over [data, data + size), each over its
@@ -2267,9 +2105,9 @@ runPauliStream(double *data, size_t size,
             const auto nt = static_cast<size_t>(omp_get_num_threads());
             for (size_t i = 0; i < passes.size(); ++i) {
                 const size_t u = units(i);
-                detail::runRanges(data, passes[i], r + plan.first[i],
-                                  r + plan.first[i + 1], u * t / nt,
-                                  u * (t + 1) / nt);
+                detail::runPass(data, passes[i],
+                                {r + plan.first[i], r + plan.first[i + 1],
+                                 u * t / nt, u * (t + 1) / nt});
 #pragma omp barrier
             }
         }
@@ -2280,8 +2118,9 @@ runPauliStream(double *data, size_t size,
     (void)parallel;
 #endif
     for (size_t i = 0; i < passes.size(); ++i)
-        detail::runRanges(data, passes[i], r + plan.first[i],
-                          r + plan.first[i + 1], 0, units(i));
+        detail::runPass(data, passes[i],
+                        {r + plan.first[i], r + plan.first[i + 1], 0,
+                         units(i)});
 }
 
 } // namespace simd

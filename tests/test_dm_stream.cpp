@@ -587,8 +587,9 @@ TEST(DmStream, PrunedRunsMatchTheFullStream)
 TEST(DmStream, MemberRunsMatchTheFullStream)
 {
     // A pruned run computes only the needed members of each slice
-    // group when each reads one input member: after the prefix PTMs,
-    // every op of an FCHE ladder does. FCHE p = 1 and p = 2 ladders and
+    // group, each from the input x bits its PTM blocks name less the
+    // known-zero ones: after the prefix PTMs, every op of an FCHE
+    // ladder reads one per qubit. FCHE p = 1 and p = 2 ladders and
     // random circuits with CX/CZ/Swap at 4-10 qubits, NISQ and pQEC,
     // Ising/Heisenberg/random Hamiltonians, teams of 1 and
     // manyThreads(), scalar and vector kernels: energies keep the full

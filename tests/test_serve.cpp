@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -490,6 +492,67 @@ TEST(Daemon, AnswersMistypedFieldsWithBadRequest)
     ASSERT_TRUE(client.readReply(reply));
     EXPECT_EQ(reply.type, "pong");
     EXPECT_EQ(reply.id, 12);
+}
+
+/** A loopback TCP port that was free a moment ago (bound to port 0,
+ *  read back, released). */
+uint16_t
+freeTcpPort()
+{
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    const bool ok =
+        fd >= 0 &&
+        bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) == 0 &&
+        getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) == 0;
+    if (fd >= 0)
+        close(fd);
+    return ok ? ntohs(addr.sin_port) : 0;
+}
+
+TEST(Daemon, HostileTcpPeerLosesOnlyItsOwnConnection)
+{
+    // Over TCP: garbage gets a bad_request reply, and a length prefix
+    // above kMaxFrameBytes closes that connection alone; a second TCP
+    // client is still answered.
+    resetSynthState(true);
+    serve::ServeConfig config = baseConfig("serve_tcp.sock");
+    config.tcp_port = freeTcpPort();
+    ASSERT_NE(config.tcp_port, 0);
+    serve::Daemon daemon(config, synthCatalog());
+    ASSERT_EQ(daemon.tcpPort(), config.tcp_port);
+    serve::DaemonClient hostile =
+        serve::DaemonClient::connectTcp(daemon.tcpPort());
+    serve::DaemonClient other =
+        serve::DaemonClient::connectTcp(daemon.tcpPort());
+    serve::DaemonReply reply;
+
+    ASSERT_TRUE(writeFrame(hostile.fd(), "\x01\x7f{not a request"));
+    ASSERT_TRUE(hostile.readReply(reply));
+    EXPECT_EQ(reply.type, "err");
+    EXPECT_EQ(reply.code, "bad_request");
+    ASSERT_TRUE(
+        eventually([&] { return daemon.stats().connections_open == 2; }));
+
+    const auto huge = static_cast<uint32_t>(kMaxFrameBytes + 1);
+    char header[4];
+    for (int i = 0; i < 4; ++i)
+        header[i] = static_cast<char>((huge >> (8 * i)) & 0xFF);
+    ASSERT_EQ(send(hostile.fd(), header, sizeof(header), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(header)));
+    EXPECT_FALSE(hostile.readReply(reply)); // closed, not answered
+    EXPECT_TRUE(
+        eventually([&] { return daemon.stats().connections_open == 1; }));
+
+    ASSERT_TRUE(other.sendPing(21));
+    ASSERT_TRUE(other.readReply(reply));
+    EXPECT_EQ(reply.type, "pong");
+    EXPECT_EQ(reply.id, 21);
+    EXPECT_EQ(daemon.stats().connections_open, 1u);
+    EXPECT_EQ(g_evals.load(), 0);
 }
 
 // --------------------------------------------------------------------

@@ -114,6 +114,72 @@ boundFche(int n, double theta)
         std::vector<double>(ansatz.nParameters(), theta));
 }
 
+/** Output row @p r of PTM @p m over quad elements @p x: the products
+ *  of the columns of each source x bit in @p srcs, ascending, summed
+ *  left to right. */
+double
+ptmRow(const double *m, int r, unsigned srcs, const double (&x)[4])
+{
+    double y = 0.0;
+    bool first = true;
+    for (int c = 0; c < 4; ++c)
+        if (srcs >> (c >> 1) & 1) {
+            const double t = m[4 * r + c] * x[c];
+            y = first ? t : y + t;
+            first = false;
+        }
+    return y;
+}
+
+/** The members in @p mask of every group of pass @p p, group by group
+ *  from the pass's fields alone (see simd::PauliPass). */
+void
+referencePass(simd::RealVector &d, const simd::PauliPass &p, unsigned mask)
+{
+    // PTM m of qubit q (0: the Quad's or a, 1: b) on the elements
+    // v[kq[r]], r = 2 x_q + z_q.
+    const auto quad = [&](const double *m, unsigned q, double *v,
+                          const int (&kq)[4]) {
+        const double x[4] = {v[kq[0]], v[kq[1]], v[kq[2]], v[kq[3]]};
+        for (int r = 0; r < 4; ++r)
+            v[kq[r]] = ptmRow(m, r, p.src[q][r >> 1], x);
+    };
+    if (p.kind == simd::PauliPass::Kind::Quad) {
+        const uint64_t l = uint64_t{1} << p.lo, h = uint64_t{1} << p.hi;
+        const uint64_t off[4] = {0, l, h, h | l};
+        for (uint64_t t = 0; t < d.size() / 4; ++t) {
+            double *e = d.data() + simd::detail::insertZeroBit(
+                                       simd::detail::insertZeroBit(t, p.lo),
+                                       p.hi);
+            double v[4];
+            for (int k = 0; k < 4; ++k)
+                v[k] = e[off[k]];
+            quad(p.ma, 0, v, {0, 1, 2, 3});
+            for (int k = 0; k < 4; ++k)
+                if (mask >> (k >> 1) & 1)
+                    e[off[k]] = v[k];
+        }
+        return;
+    }
+    // Group element k = 8 x_a + 4 x_b + 2 z_a + z_b.
+    for (uint64_t g = 0; g < d.size() / 16; ++g) {
+        double *base = d.data() + simd::detail::pairGroupBase(g, p.pos);
+        double v[16];
+        for (int k = 0; k < 16; ++k)
+            v[k] = base[p.from[k]];
+        // Qubit a's quads vary bits 8 and 2 of k, b's bits 4 and 1.
+        for (const int k : {0, 1, 4, 5})
+            if (p.pre_a)
+                quad(p.ma, 0, v, {k, k + 2, k + 8, k + 10});
+        for (const int k : {0, 2, 8, 10})
+            if (p.pre_b)
+                quad(p.mb, 1, v, {k, k + 1, k + 4, k + 5});
+        for (int k = 0; k < 16; ++k)
+            if (mask >> (k >> 2) & 1)
+                base[p.to[k]] = v[k] * p.fac[k];
+    }
+}
+
 } // namespace
 
 TEST(SimdKernels, Apply1qParityAllQubitsAndDims)
@@ -366,9 +432,13 @@ TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
             << "n=" << n;
         EXPECT_NEAR(vec.trace(), 1.0, 1e-12) << "n=" << n;
 
-        // Member runs: every op under every partial member mask, each
-        // member from a rotating source member, over random
-        // coefficients; the members outside the mask stay untouched.
+        // Member runs: every op under every member mask and every
+        // source choice per qubit and output x bit (this x bit, the
+        // other, both), over random coefficients: the scalar kernels
+        // match referencePass (sources summed in ascending order, so
+        // reading both gives the whole 4x4 product) and the vector
+        // kernels the scalar ones, and the members outside the mask
+        // stay untouched.
         const size_t size = size_t{1} << (2 * n);
         simd::RealVector data(size);
         for (size_t i = 0; i < size; ++i)
@@ -376,7 +446,6 @@ TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
         for (size_t k = 0; k < ops.size(); ++k) {
             const DmOp &op = ops[k];
             const bool pair = op.kind == DmOpKind::Pair2q;
-            const unsigned members = pair ? 4 : 2;
             simd::PauliPass scalar = streamPass(op, n);
             simd::PauliPass vector = scalar;
             {
@@ -384,40 +453,55 @@ TEST(SimdKernels, DensityMatrixStreamOpsBitIdentical)
                 simd::planPass(scalar, size);
             }
             simd::planPass(vector, size);
-            for (unsigned mask = 1; mask + 1 < (1u << members); ++mask) {
-                for (unsigned o = 0; o < members; ++o)
-                    scalar.src[o] = vector.src[o] =
-                        static_cast<uint8_t>((o + mask + k) % members);
-                simd::RealVector ref = data, got = data;
-                simd::detail::runPass(ref.data(), scalar, 0, scalar.chunks,
-                                      mask);
-                simd::detail::runPass(got.data(), vector, 0, vector.chunks,
-                                      mask);
-                EXPECT_EQ(std::memcmp(ref.data(), got.data(),
-                                      size * sizeof(double)),
-                          0)
-                    << "n=" << n << " op " << k << " mask " << mask;
-                // Output member of mask member o: its x bits through
-                // the op's Pauli permutation.
-                unsigned written = 0;
-                for (unsigned o = 0; o < members; ++o)
-                    if (mask >> o & 1)
-                        written |= 1u << (pair ? pairPauliImage(op.perm,
-                                                                4 * o).k >> 2
-                                               : o);
-                size_t outside = 0, kept = 0;
-                for (size_t i = 0; i < size; ++i) {
-                    const unsigned xa = (i >> (n + op.q0)) & 1;
-                    const unsigned out =
-                        pair ? 2 * xa + ((i >> (n + op.q1)) & 1) : xa;
-                    if (!(written >> out & 1)) {
-                        ++outside;
-                        kept += ref[i] == data[i];
+            const unsigned choices = pair ? 81 : 9; // 3 per qubit and bit
+            for (unsigned c = 0; c < choices; ++c) {
+                for (unsigned q = 0, rest = c; q < (pair ? 2u : 1u); ++q)
+                    for (unsigned v = 0; v < 2; ++v, rest /= 3)
+                        scalar.src[q][v] = vector.src[q][v] =
+                            static_cast<uint8_t>(
+                                rest % 3 == 2 ? 3 : 1u << (v ^ rest % 3));
+                for (unsigned mask = 1; mask <= scalar.allMembers(); ++mask) {
+                    const auto members = static_cast<uint8_t>(mask);
+                    const simd::PassRange rs{0, scalar.chunks, members};
+                    const simd::PassRange rv{0, vector.chunks, members};
+                    simd::RealVector want = data, ref = data, got = data;
+                    referencePass(want, scalar, mask);
+                    simd::detail::runPass(ref.data(), scalar,
+                                          {&rs, &rs + 1, 0, scalar.chunks});
+                    simd::detail::runPass(got.data(), vector,
+                                          {&rv, &rv + 1, 0, vector.chunks});
+                    ASSERT_EQ(std::memcmp(want.data(), ref.data(),
+                                          size * sizeof(double)),
+                              0)
+                        << "n=" << n << " op " << k << " sources " << c
+                        << " mask " << mask;
+                    ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                          size * sizeof(double)),
+                              0)
+                        << "n=" << n << " op " << k << " sources " << c
+                        << " mask " << mask;
+                    // Output member of mask member o: its x bits
+                    // through the op's Pauli permutation.
+                    unsigned written = 0;
+                    for (unsigned o = 0; o < (pair ? 4u : 2u); ++o) {
+                        const int image = pairPauliImage(op.perm, 4 * o).k;
+                        if (mask >> o & 1)
+                            written |= 1u << (pair ? image >> 2 : o);
                     }
+                    size_t outside = 0, kept = 0;
+                    for (size_t i = 0; i < size; ++i) {
+                        const unsigned xa = (i >> (n + op.q0)) & 1;
+                        const unsigned out =
+                            pair ? 2 * xa + ((i >> (n + op.q1)) & 1) : xa;
+                        if (!(written >> out & 1)) {
+                            ++outside;
+                            kept += ref[i] == data[i];
+                        }
+                    }
+                    ASSERT_EQ(kept, outside)
+                        << "n=" << n << " op " << k << " sources " << c
+                        << " mask " << mask;
                 }
-                EXPECT_GT(outside, 0u);
-                EXPECT_EQ(kept, outside)
-                    << "n=" << n << " op " << k << " mask " << mask;
             }
         }
     }
